@@ -22,7 +22,9 @@
 #      writes BENCH_attacks.json),
 #  10. the env-flag conformance + router suites and the adaptive-router
 #      smoke bench (routed wall time within 1.25x of the best pinned
-#      configuration).
+#      configuration),
+#  11. the end-to-end benchmark's self-tests (perfbench/tests).
+# "verify.sh: OK" is printed only after every stage has run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -79,7 +81,10 @@ python -m pytest -x -q tests/utils tests/router
 echo "== adaptive-router smoke bench =="
 python benchmarks/bench_router.py --smoke
 
-echo "verify.sh: OK"
-
 echo "== attack strategy grid smoke bench =="
 python benchmarks/bench_attack_grid.py --smoke
+
+echo "== end-to-end benchmark self-tests =="
+python -m pytest -q perfbench/tests
+
+echo "verify.sh: OK"

@@ -7,12 +7,11 @@ it compares against, decomposed into pluggable strategy components
 * :class:`~repro.attacks.duo.DUOAttack` — SparseTransfer (Eq. 1 /
   Algorithm 1) + SparseQuery (Eq. 2–4 / Algorithm 2), looped ``iter_numH``
   times.
-* :class:`~repro.attacks.vanilla.VanillaAttack` — random pixel selection
-  + SimBA-style queries [53].
-* :class:`~repro.attacks.timi.TIMIAttack` — momentum + translation-
-  invariant dense transfer attack [25].
-* :class:`~repro.attacks.heu.HeuNesAttack` / ``HeuSimAttack`` — heuristic
-  frame/pixel selection with NES or SimBA optimization [16].
+* ``"vanilla"`` — random pixel selection + SimBA-style queries [53].
+* ``"timi"`` — momentum + translation-invariant dense transfer
+  attack [25] (:func:`~repro.attacks.timi.timi_transfer`).
+* ``"heu-nes"`` / ``"heu-sim"`` — heuristic frame/pixel selection with
+  NES or SimBA optimization [16].
 
 Every attack is a registered {sampler × basis × feedback} composition:
 
@@ -20,18 +19,14 @@ Every attack is a registered {sampler × basis × feedback} composition:
 >>> attack = build_attack(AttackConfig(strategy="vanilla", k=48),
 ...                       service=service)
 >>> report = attack.run(original, target)
-
-The legacy classes remain as deprecated shims over their registry
-entries, bit-identical to their pre-redesign behaviour.
 """
 
 from repro.attacks.base import Attack, AttackResult, project_linf, project_l2
 from repro.attacks.config import AttackConfig
 from repro.attacks.objective import RetrievalObjective, UntargetedRetrievalObjective
 from repro.attacks.report import AttackReport
-from repro.attacks.vanilla import VanillaAttack
-from repro.attacks.timi import TIMIAttack, timi_transfer
-from repro.attacks.heu import HeuNesAttack, HeuSimAttack, motion_saliency
+from repro.attacks.timi import timi_transfer
+from repro.attacks.heu import motion_saliency
 from repro.attacks.duo import DUOAttack, SparseTransfer, SparseQuery, TransferPriors
 
 # Registry/strategy exports resolve lazily so `python -m
@@ -64,11 +59,7 @@ __all__ = [
     "resolve_strategy",
     "RetrievalObjective",
     "UntargetedRetrievalObjective",
-    "VanillaAttack",
-    "TIMIAttack",
     "timi_transfer",
-    "HeuNesAttack",
-    "HeuSimAttack",
     "motion_saliency",
     "DUOAttack",
     "SparseTransfer",

@@ -3,9 +3,8 @@
 Mirrors the :class:`~repro.retrieval.config.ServiceConfig` redesign: one
 immutable :class:`AttackConfig` is the single constructor argument for
 :class:`~repro.attacks.strategy.ComposedAttack` and for
-:func:`repro.attacks.registry.build_attack`.  The legacy per-attack
-positional constructors (``VanillaAttack(service, k, ...)``) still work
-but emit a :class:`DeprecationWarning` pointing here.
+:func:`repro.attacks.registry.build_attack`; every attack, the paper's
+baselines included, is built that way.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.attacks.config import AttackConfig
 from repro.attacks.duo import DUOAttack
-from repro.attacks.timi import TIMIAttack
+from repro.attacks.registry import build_attack
 from repro.experiments import fixtures
 from repro.experiments.config import DEFAULT_SCALE, ExperimentScale
 from repro.experiments.protocol import attack_pairs
@@ -46,8 +47,10 @@ def run(scale: ExperimentScale = DEFAULT_SCALE,
 
     # TIMI reference rows (dense transfer).
     for surrogate_name, surrogate in surrogates.items():
-        attack = TIMIAttack(surrogate, tau=scale.tau,
-                            iterations=scale.timi_iterations)
+        attack = build_attack(
+            AttackConfig(strategy="timi", tau=scale.tau,
+                         iterations=scale.timi_iterations),
+            surrogate=surrogate)
         adversarials = [attack.run(v, vt) for v, vt in pairs]
         for victim_name, victim in victims_built.items():
             aps, spas, pscores = _evaluate(adversarials, victim, pairs)

@@ -85,7 +85,9 @@ class ResilienceConfig:
         What to do when some shard has **no** live replica: ``"raise"``
         (default) raises :class:`~repro.errors.RetrievalUnavailable` so
         attack loops can checkpoint and resume; ``"degrade"`` serves the
-        partial merge (the pre-resilience behaviour).
+        partial merge.  When no node answers at all the query raises
+        under either policy: an empty list would read as an empty
+        gallery.
     """
 
     replication: int = 1

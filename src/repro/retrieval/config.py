@@ -3,9 +3,8 @@
 :class:`ServiceConfig` replaces the kwarg sprawl that
 ``RetrievalService.__init__`` had accumulated (``m``, ``query_budget``,
 ``preprocessor``, ``quantize_queries``, plus the retry/replication knobs
-this PR adds through :class:`~repro.resilience.ResilienceConfig`).  The
-old kwargs still work — with a :class:`DeprecationWarning` — but new
-code should go through :meth:`RetrievalService.build`.
+carried by :class:`~repro.resilience.ResilienceConfig`).  Services are
+built through :meth:`RetrievalService.build`.
 """
 
 from __future__ import annotations

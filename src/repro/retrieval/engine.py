@@ -113,8 +113,9 @@ class RetrievalEngine:
         fault-injection runs audit the exact op-by-op execution, and the
         suppression is surfaced on the ``nn.jit.fallbacks`` counter.
         ``override`` short-circuits the engine/global switches — the
-        pooled serving executor passes ``False`` because the fuse replay
-        arenas are per-model, not per-thread.
+        serving front end passes ``False`` when it runs more than one
+        worker, because the fuse replay arenas are per-model, not
+        per-thread.
         """
         from repro.nn import jit
 
@@ -134,7 +135,8 @@ class RetrievalEngine:
         return self.gallery.index_tier
 
     @property
-    def resilience(self) -> ResilienceConfig | None:
+    def resilience(self) -> ResilienceConfig:
+        """The gallery's scatter policy (``PLAIN_RESILIENCE`` if none set)."""
         return self.gallery.resilience
 
     # -------------------------------------------------------------- #

@@ -19,9 +19,13 @@ into a self-healing retrieval plane:
 * per-node calls run under retry-with-backoff and a circuit breaker;
 * slow nodes are dropped from the merge when faster replicas cover
   their shards (hedged scatter reads);
-* when coverage is lost the query either degrades (pre-resilience
-  behaviour) or raises :class:`~repro.errors.RetrievalUnavailable` so
-  attack loops can checkpoint and resume.
+* when coverage is lost the query either degrades (serves the partial
+  merge) or raises :class:`~repro.errors.RetrievalUnavailable` so
+  attack loops can checkpoint and resume; when no node answers at all
+  it raises under either policy.
+
+Without a resilience config the same scatter runs under
+:data:`PLAIN_RESILIENCE` (no retries or breakers, degrade on data loss).
 
 Online galleries (:meth:`ShardedGallery.enable_churn`) add live
 mutation under traffic: :meth:`~ShardedGallery.delete` and
@@ -58,6 +62,11 @@ from repro.retrieval.snapshot import GallerySnapshot, filter_entries
 
 #: Per-node search latencies are sub-millisecond at test scale.
 NODE_LATENCY_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0)
+
+#: The scatter policy of a gallery built without a resilience config:
+#: no retries, no breakers, and a partial merge when a shard is lost.
+PLAIN_RESILIENCE = ResilienceConfig(retry=None, breaker=None,
+                                    on_data_loss="degrade")
 
 
 class DataNode:
@@ -223,7 +232,7 @@ class ShardedGallery:
         self._shard_rows = [0] * num_nodes
         self.fault_plan = None
         self.replication = 1
-        self.resilience: ResilienceConfig | None = None
+        self.resilience = PLAIN_RESILIENCE
         self._breakers: dict[str, CircuitBreaker] = {}
         self._retries: dict[str, RetryExecutor] = {}
         self.set_resilience(resilience)
@@ -305,11 +314,12 @@ class ShardedGallery:
     def set_resilience(self, config: ResilienceConfig | None) -> None:
         """(Re)configure retry/breaker/replication behaviour.
 
-        Replication is a *placement* property: it can only change while
-        the gallery is still empty.
+        ``None`` installs :data:`PLAIN_RESILIENCE`.  Replication is a
+        *placement* property: it can only change while the gallery is
+        still empty.
         """
-        replication = 1 if config is None else min(int(config.replication),
-                                                   len(self.nodes))
+        config = PLAIN_RESILIENCE if config is None else config
+        replication = min(int(config.replication), len(self.nodes))
         if self._row_count and replication != self.replication:
             raise ValueError(
                 "cannot change replication on a populated gallery "
@@ -318,19 +328,18 @@ class ShardedGallery:
         self.replication = replication
         self._breakers = {}
         self._retries = {}
-        if config is not None:
-            if config.breaker is not None:
-                self._breakers = {
-                    node.node_id: CircuitBreaker(config.breaker,
-                                                 node_id=node.node_id)
-                    for node in self.nodes
-                }
-            if config.retry is not None:
-                self._retries = {
-                    node.node_id: RetryExecutor(config.retry,
-                                                node_id=node.node_id)
-                    for node in self.nodes
-                }
+        if config.breaker is not None:
+            self._breakers = {
+                node.node_id: CircuitBreaker(config.breaker,
+                                             node_id=node.node_id)
+                for node in self.nodes
+            }
+        if config.retry is not None:
+            self._retries = {
+                node.node_id: RetryExecutor(config.retry,
+                                            node_id=node.node_id)
+                for node in self.nodes
+            }
         # Per-node scatter plan, precomputed so the hot path does no
         # dict lookups: [(node, breaker | None, retry | None), ...].
         self._node_plan = [
@@ -734,10 +743,8 @@ class ShardedGallery:
         if self.fault_plan is not None:
             self.fault_plan.advance(1)
         with span("gallery.search", k=int(k)):
-            scatter = self._scatter_plain if self.resilience is None \
-                else self._scatter_resilient
             pinned = self._pinned if snap is None else None
-            partials = scatter(
+            partials = self._scatter(
                 lambda node: [self._node_search(node, query, k, snap,
                                                 pinned)])
             merged = self._merge([lists[0] for lists in partials], k)
@@ -759,10 +766,8 @@ class ShardedGallery:
         if self.fault_plan is not None:
             self.fault_plan.advance(batch)
         with span("gallery.search_batch", k=int(k), batch=batch):
-            scatter = self._scatter_plain if self.resilience is None \
-                else self._scatter_resilient
             pinned = self._pinned if snap is None else None
-            node_results = scatter(
+            node_results = self._scatter(
                 lambda node: self._node_search_batch(node, queries, k, snap,
                                                      pinned),
                 weight=batch)
@@ -836,44 +841,15 @@ class ShardedGallery:
                 for raw in raw_lists]
 
     # -------------------------------------------------------------- #
-    # Scatter strategies
+    # Scatter
     # -------------------------------------------------------------- #
-    def _scatter_plain(self, call, weight: int = 1) -> list:
-        """Pre-resilience behaviour: skip failing nodes, serve the rest."""
-        partials = []
-        for node in self.nodes:
-            if not node.alive:
-                counter("gallery.node_skipped", node=node.node_id).inc()
-                continue
-            start = time.perf_counter()
-            try:
-                results = call(node)
-            except NodeDownError:
-                # A fault injector flaked the node mid-scatter; without a
-                # resilience config this degrades exactly like a downed
-                # node instead of failing the whole query.
-                counter("gallery.node_skipped", node=node.node_id).inc()
-                continue
-            partials.append(results)
-            histogram("gallery.node_latency_s",
-                      buckets=NODE_LATENCY_BUCKETS,
-                      node=node.node_id).observe(
-                          time.perf_counter() - start)
-        if not partials and self._row_count:
-            # Zero live nodes is not a degraded answer — it is no answer.
-            # Mirror the resilient scatter's coverage-loss behaviour
-            # instead of silently returning an empty retrieval list (an
-            # attacker would read that as "the gallery is empty").
-            counter("resilience.uncovered_queries").inc(weight)
-            raise RetrievalUnavailable(
-                "no live node answered the scatter "
-                f"({self._row_count} rows unreachable)")
-        if len(partials) < len(self.nodes):
-            counter("gallery.degraded_searches").inc(weight)
-        return partials
+    def _scatter(self, call, weight: int = 1) -> list:
+        """Retry + breaker + deadline + hedged scatter over all nodes.
 
-    def _scatter_resilient(self, call, weight: int = 1) -> list:
-        """Retry + breaker + deadline + hedged scatter over all nodes."""
+        A gallery without a resilience config scatters under
+        :data:`PLAIN_RESILIENCE`: failing nodes are skipped and the
+        rest are merged.
+        """
         config = self.resilience
         results: dict[int, list] = {}
         latencies: dict[int, float] = {}
@@ -921,6 +897,13 @@ class ShardedGallery:
                 ]
                 raise RetrievalUnavailable(
                     f"no live replica for shard(s) {missing}")
+            if not results:
+                # Zero answering nodes is not a degraded answer — it is
+                # no answer; an empty list would read as "the gallery is
+                # empty", so "degrade" raises here too.
+                raise RetrievalUnavailable(
+                    "no live node answered the scatter "
+                    f"({self._row_count} rows unreachable)")
             counter("gallery.degraded_searches").inc(weight)
         elif len(results) < len(self.nodes):
             counter("resilience.degraded_covered_queries").inc(weight)

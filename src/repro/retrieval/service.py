@@ -8,12 +8,12 @@ queries.
 
 Construction
 ------------
-The preferred constructor is :meth:`RetrievalService.build`, which takes
-a :class:`~repro.retrieval.config.ServiceConfig` (plus an optional
+The constructor is :meth:`RetrievalService.build`, which takes a
+:class:`~repro.retrieval.config.ServiceConfig` plus field overrides
+(``build(engine, m=8)``) and an optional
 :class:`~repro.resilience.ResilienceConfig` applied to the engine's
-gallery).  The legacy kwargs (``m``, ``query_budget``, ``preprocessor``,
-``quantize_queries``) still work on ``__init__`` but emit a
-:class:`DeprecationWarning`.
+gallery.  ``RetrievalService(engine, config=...)`` wraps an engine
+without touching it.
 
 Batched evaluation
 ------------------
@@ -40,7 +40,6 @@ uninterrupted run would have.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import fields
 
 from repro.errors import QueryBudgetExceeded, RetrievalUnavailable
@@ -58,9 +57,6 @@ __all__ = [
     "Preprocessor",
 ]
 
-#: Sentinel distinguishing "kwarg not passed" from an explicit default.
-_UNSET = object()
-
 
 class RetrievalService:
     """``R^m(·)`` as seen by an end user / attacker.
@@ -71,26 +67,8 @@ class RetrievalService:
     exactly this reason).
     """
 
-    def __init__(self, engine: RetrievalEngine, m=_UNSET, query_budget=_UNSET,
-                 preprocessor=_UNSET, quantize_queries=_UNSET, *,
+    def __init__(self, engine: RetrievalEngine, *,
                  config: ServiceConfig | None = None) -> None:
-        legacy = {
-            name: value
-            for name, value in (("m", m), ("query_budget", query_budget),
-                                ("preprocessor", preprocessor),
-                                ("quantize_queries", quantize_queries))
-            if value is not _UNSET
-        }
-        if legacy:
-            if config is not None:
-                raise TypeError(
-                    "pass either a ServiceConfig or legacy kwargs, not both")
-            warnings.warn(
-                "RetrievalService(engine, m=..., query_budget=..., ...) is "
-                "deprecated; use RetrievalService.build(engine, "
-                "ServiceConfig(...)) instead",
-                DeprecationWarning, stacklevel=2)
-            config = ServiceConfig(**legacy)
         self.config = config if config is not None else ServiceConfig()
         self.engine = engine
         self.query_count = 0
@@ -105,7 +83,7 @@ class RetrievalService:
               config: ServiceConfig | None = None, *,
               resilience: ResilienceConfig | None = None,
               **overrides) -> "RetrievalService":
-        """The redesigned constructor path.
+        """Build a service over ``engine``.
 
         ``overrides`` are :class:`ServiceConfig` field names applied on
         top of ``config`` (``build(engine, m=8)`` is the idiomatic short
@@ -133,8 +111,7 @@ class RetrievalService:
             engine.configure_router(config.router)
         return cls(engine, config=config)
 
-    # Legacy attribute surface (kept so existing call sites and tests
-    # reading service.m / service.preprocessor keep working).
+    # Read-only views of the config fields.
     @property
     def m(self) -> int:
         return self.config.m
@@ -277,7 +254,7 @@ class RetrievalService:
                 raise
 
     # -------------------------------------------------------------- #
-    # Split accounting/compute (pooled serving executor)
+    # Split accounting/compute (serving front end)
     # -------------------------------------------------------------- #
     def begin_batch(self, videos: list[Video]) -> list[Video]:
         """Account and prepare a batch whose compute happens elsewhere.
@@ -320,28 +297,6 @@ class RetrievalService:
         """
         self._refund(1)
         self._unissue(int(total) - int(served) - 1)
-
-    def query_batch_pinned(self, videos: list[Video], snapshots: list,
-                           m: int | None = None) -> list[RetrievalList]:
-        """:meth:`query_batch` with one pinned gallery snapshot per video.
-
-        Used by the serving frontend under churn: each query is
-        evaluated against the gallery version it was admitted under,
-        with the same sequential accounting semantics as
-        :meth:`query_batch`.  An instance-level :meth:`query` override
-        (stateful detector, test spy) falls back to per-video queries
-        against the *current* gallery — instrumented services are not
-        snapshot-pinned.
-        """
-        if "query" in self.__dict__:
-            return [self.query(video, m) for video in videos]
-        prepared = self.begin_batch(videos)
-        try:
-            return self.compute_batch(prepared, m, snapshots=snapshots)
-        except RetrievalUnavailable as exc:
-            self.settle_interrupted(len(prepared),
-                                    int(getattr(exc, "served_count", 0)))
-            raise
 
     # -------------------------------------------------------------- #
     # Speculative evaluation

@@ -135,10 +135,10 @@ class ServingConfig:
         on the virtual clock: 8 coalesced queries cost one base instead
         of eight.
     workers:
-        Worker-pool size for dispatched batches.  ``1`` (the default)
-        is the single-server scheduler; ``> 1`` runs batch compute on a
-        thread pool leaning on the GIL-releasing BLAS kernels, with
-        per-worker virtual clocks.  Defaults to
+        Worker-pool size for dispatched batches, each worker with its
+        own virtual clock.  ``1`` (the default) runs compute inline on
+        the loop thread; ``> 1`` runs it on a thread pool leaning on
+        the GIL-releasing BLAS kernels.  Both run the same scheduler.  Defaults to
         ``REPRO_SERVING_WORKERS`` (else 1).  Semantics-invisible — see
         the ``serving.pooled_vs_single`` oracle.
     churn:

@@ -9,7 +9,7 @@ admitted before an event keep their pinned snapshot while later ones
 see the mutated gallery.
 
 :func:`merge_timeline` defines the *canonical* interleaving (events
-before queries at equal timestamps); both the pooled front end and the
+before queries at equal timestamps); both the front end and the
 sequential reference replay (:func:`replay_sequential_mutating`) use
 it, so the ``serving.mutating_timeline`` oracle compares identical
 orderings.  :func:`generate_churn` builds a seeded random event stream
@@ -80,7 +80,7 @@ def apply_gallery_event(engine, event: GalleryEvent,
     """Apply one event (plus the shared background-compaction check).
 
     The compaction check runs at exactly this point in *both* the
-    pooled front end and the sequential reference, so compaction
+    front end and the sequential reference, so compaction
     boundaries — which affect tie-breaking row order inside rebuilt
     indexes — are identical across replays.
     """

@@ -14,8 +14,10 @@ the semantics.  The split is strict:
   deterministic.
 
 ``workers=1`` degenerates to an inline executor (no threads, eager
-evaluation), which keeps single-worker runs byte-identical to the
-legacy scheduler and cheap to construct.
+evaluation), so a single-worker run is the same event loop with one
+virtual clock, cheap to construct.  The loop's ``queue_full`` retry
+hint reads :attr:`WorkerPool.min_free_s`, the earliest time any worker
+frees up.
 
 While a multi-worker pool is open, :func:`repro.obs.thread_safe_metrics`
 is active so counters incremented from worker threads cannot lose
@@ -89,6 +91,7 @@ class WorkerPool:
     # -------------------------------------------------------------- #
     @property
     def min_free_s(self) -> float:
+        """Virtual time at which the earliest-free worker frees up."""
         return min(self.free_at_s)
 
     def pick_worker(self) -> int:

@@ -35,7 +35,7 @@ def cacheless_engine(tiny_victim):
 
 
 def fresh_service(engine, **kwargs):
-    return RetrievalService(engine, m=8, **kwargs)
+    return RetrievalService.build(engine, m=8, **kwargs)
 
 
 def make_priors(original, rng, k=60):

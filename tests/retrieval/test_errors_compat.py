@@ -1,7 +1,8 @@
 """Back-compat surface of the errors consolidation and the service
 constructor redesign: legacy import paths must alias the canonical
-``repro.errors`` classes, and legacy ``RetrievalService(...)`` kwargs
-must keep working behind a :class:`DeprecationWarning`."""
+``repro.errors`` classes, and the removed ``RetrievalService(...)``
+kwargs (``m``, ``query_budget``, ``preprocessor``, ``quantize_queries``)
+are rejected rather than silently accepted."""
 
 import pytest
 
@@ -40,19 +41,10 @@ class TestErrorAliases:
 
 
 class TestLegacyServiceConstructor:
-    def test_legacy_kwargs_warn_but_work(self):
-        engine = object()
-        with pytest.warns(DeprecationWarning,
-                          match="RetrievalService.build"):
-            service = RetrievalService(engine, m=4, query_budget=9)
-        assert service.m == 4
-        assert service.query_budget == 9
-        assert service.config == ServiceConfig(m=4, query_budget=9)
-
-    def test_each_legacy_kwarg_triggers_the_warning(self):
+    def test_each_legacy_kwarg_is_rejected(self):
         for kwargs in ({"m": 3}, {"query_budget": 5},
                        {"preprocessor": None}, {"quantize_queries": True}):
-            with pytest.warns(DeprecationWarning):
+            with pytest.raises(TypeError, match="unexpected keyword"):
                 RetrievalService(object(), **kwargs)
 
     def test_config_path_does_not_warn(self):
@@ -65,7 +57,7 @@ class TestLegacyServiceConstructor:
         assert service.m == 6
 
     def test_mixing_config_and_legacy_kwargs_raises(self):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             RetrievalService(object(), m=4, config=ServiceConfig())
 
     def test_build_rejects_unknown_override(self):

@@ -109,6 +109,22 @@ class TestFailureInjection:
         with pytest.raises(RetrievalUnavailable):
             gallery.search(rng.normal(size=5), k=4)
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_all_nodes_down_raises_under_degrade_policy(self, rng, batched):
+        # Regression: "degrade" served the partial merge even when no
+        # node answered, returning [] as if the gallery were empty.
+        gallery = ShardedGallery(
+            num_nodes=3, resilience=ResilienceConfig(on_data_loss="degrade"))
+        gallery.add_batch([f"v{i}" for i in range(6)], [0] * 6,
+                          rng.normal(size=(6, 5)))
+        for node in gallery.nodes:
+            node.take_down()
+        with pytest.raises(RetrievalUnavailable, match="no live node"):
+            if batched:
+                gallery.search_batch(rng.normal(size=(2, 5)), k=4)
+            else:
+                gallery.search(rng.normal(size=5), k=4)
+
     def test_all_nodes_down_on_an_empty_gallery_is_still_empty(self, rng):
         # No rows stored → an empty list is the *correct* answer, not an
         # outage, whichever scatter strategy runs.

@@ -140,6 +140,23 @@ class TestAdmissionPaths:
         assert isinstance(overflow.error, ServiceOverloaded)
         assert overflow.error.retry_after_s is not None
 
+    @pytest.mark.parametrize("churn", [False, True])
+    def test_queue_full_retry_hint_waits_for_the_busy_worker(
+            self, world, query_videos, churn):
+        # Batch one (0-1 ms arrivals) runs 1-7 ms; batch two (2-3 ms)
+        # waits for the worker and runs 7-13 ms.  The four arrivals at
+        # 4-7 ms find the queue full and are told to retry once the
+        # worker frees up plus one max_wait, whatever the gallery mode.
+        config = ServingConfig(max_batch_size=2, queue_capacity=2,
+                               max_wait_s=0.01, churn=churn)
+        requests = [Request("t", query_videos[i % len(query_videos)],
+                            i * 1e-3) for i in range(8)]
+        report = ServingFrontend(world.service, config).run(requests)
+        rejected = [r for r in report.responses if r.status == "rejected"]
+        assert [r.reason for r in rejected] == ["queue_full"] * 4
+        assert [r.retry_after_s for r in rejected] == \
+            pytest.approx([0.013, 0.012, 0.011, 0.010])
+
     def test_shed_bulk_eviction_refunds_the_victim(self, world,
                                                    query_videos):
         config = ServingConfig(
@@ -248,6 +265,31 @@ class TestOutage:
         served = [r for r in report.responses if r.ok]
         assert [r.result.ids for r in served] == \
             [result.ids for result in sequential_results]
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_count_is_invisible_under_faults(self, query_videos,
+                                                    workers):
+        # A fault plan pins the pool to one worker, and one worker runs
+        # the same loop as many: the first batch (0-0.6 ms arrivals)
+        # completes at 8.6 ms with its fourth query failed, and the four
+        # requests queued behind it are shed at that instant.
+        world = build_world(21, num_nodes=1)
+        requests = closed_spaced_timeline(["a", "b"], query_videos, 4, 2e-4)
+        config = ServingConfig(max_batch_size=4, max_wait_s=0.001,
+                               workers=workers)
+        with FaultPlan().outage("node-0", 3, 7).install(
+                world.engine.gallery):
+            report = ServingFrontend(world.service, config).run(requests)
+
+        assert _statuses(report) == \
+            ["ok"] * 3 + ["unavailable"] + ["shed"] * 4
+        assert [r.completed_s for r in report.responses] == \
+            pytest.approx([0.0086] * 8)
+        assert report.batches == 1
+        service = world.service
+        assert (service.query_count, service.queries_issued,
+                service.queries_refunded) == (3, 4, 1)
 
 
 class TestWorkload:
