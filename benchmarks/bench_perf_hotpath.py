@@ -9,6 +9,12 @@ Three hot paths, measured at the model shapes the repro actually runs:
    vs "after" (GEMM convs + speculative pair batching).
 3. **retrieval internals** — batched vs scalar gallery search, and the
    embedding-cache hit vs a full model forward.
+4. **surrogate input gradient** — one c3d batch-1 loss-and-grad step, the
+   unit DUO's SparseTransfer repeats per θ step, pixel probe and frame
+   step: every col2im (conv input gradients and the ``max_pool3d``
+   scatter) on the ``repro.qa.reference`` offset loop vs the shipped
+   single ``np.bincount``, interleaved.  Both legs share the frozen-weight
+   scratch rule, so the ratio isolates the scatter.
 
 Usage::
 
@@ -41,6 +47,7 @@ from repro.models import create_feature_extractor  # noqa: E402
 from repro.nn import Tensor, no_grad  # noqa: E402
 from repro.nn import functional as F  # noqa: E402
 from repro.perf import set_conv_impl, should_use_gemm  # noqa: E402
+from repro.qa.reference import offset_loop_col2im  # noqa: E402
 from repro.retrieval import (  # noqa: E402
     FeatureIndex,
     RetrievalEngine,
@@ -189,6 +196,43 @@ def bench_embed_cache(extractor, dataset, trials: int) -> dict:
     }
 
 
+def bench_surrogate_grad(pairs: int) -> dict:
+    """Loss-and-grad steps of a frozen c3d surrogate at batch 1.
+
+    Each pair times one looped step then one shipped step back to back;
+    the speedup is the median of the per-pair ratios, which a load burst
+    on a shared host skews far less than a ratio of two minima.
+    """
+    extractor = create_feature_extractor("c3d", feature_dim=16, width=4,
+                                         rng=0)
+    extractor.eval()
+    extractor.requires_grad_(False)
+    rng = np.random.default_rng(2)
+    pixels = rng.random((1, 3, 8, 16, 16))
+    target = Tensor(rng.normal(size=16))
+
+    def shipped():
+        x = Tensor(pixels, requires_grad=True)
+        ((extractor(x)[0] - target) ** 2).sum().backward()
+
+    def looped():
+        with offset_loop_col2im():
+            shipped()
+
+    looped(), shipped()  # warm-up: plans, col2im indices, BLAS
+    loop_s, shipped_s = [], []
+    for _ in range(pairs):
+        loop_s.append(_time_once(looped))
+        shipped_s.append(_time_once(shipped))
+    return {
+        "input_shape": list(pixels.shape),
+        "pairs": pairs,
+        "loop_us_per_step": float(np.median(loop_s)) * 1e6,
+        "shipped_us_per_step": float(np.median(shipped_s)) * 1e6,
+        "speedup": float(np.median(np.divide(loop_s, shipped_s))),
+    }
+
+
 def assert_gemm_selected() -> None:
     """The auto policy must pick GEMM for every model-shape conv case."""
     for name, _, x_shape, w_shape, stride, padding in CONV_CASES:
@@ -225,6 +269,8 @@ def check_regression(result: dict, baseline_path: Path,
          baseline.get("conv_min_speedup")),
         ("batched search", result["batched_search"]["speedup"],
          baseline.get("batched_search", {}).get("speedup")),
+        ("surrogate grad", result["surrogate_grad"]["speedup"],
+         baseline.get("surrogate_grad", {}).get("speedup")),
     ]
     for label, measured, recorded in checks:
         if recorded is None:
@@ -294,6 +340,7 @@ def main(argv: list[str] | None = None) -> int:
             },
             "batched_search": bench_batched_search(trials),
             "embed_cache": bench_embed_cache(extractor, dataset, trials),
+            "surrogate_grad": bench_surrogate_grad(3 * trials),
         }
 
     result = measure()

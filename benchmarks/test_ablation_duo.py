@@ -60,7 +60,7 @@ def _run() -> TableResult:
             adv_ids = victim.service.query(result.adversarial).ids
             aps.append(ap_at_m(adv_ids, target_ids))
             spas.append(result.stats.spa)
-            queries.append(result.queries_used)
+            queries.append(result.queries)
         table.add_row(name, float(np.mean(aps)), int(np.mean(spas)),
                       int(np.mean(queries)))
     return table

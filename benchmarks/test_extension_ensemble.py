@@ -50,7 +50,7 @@ def _run() -> TableResult:
             result = attack.run(original, target)
             aps.append(ap_at_m(service.query(result.adversarial).ids,
                                target_ids))
-            queries.append(result.queries_used)
+            queries.append(result.queries)
         table.add_row(name, float(np.mean(aps)), float(np.mean(baselines)),
                       int(np.mean(queries)))
     return table

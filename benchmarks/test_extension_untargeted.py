@@ -38,7 +38,7 @@ def _run() -> TableResult:
             result = attack.run_untargeted(original)
             escapes.append(result.metadata["escape_rate"])
             spas.append(result.stats.spa)
-            queries.append(result.queries_used)
+            queries.append(result.queries)
         table.add_row(dataset_name, float(np.mean(escapes)),
                       int(np.mean(spas)), int(np.mean(queries)))
     return table

@@ -75,7 +75,7 @@ def main() -> None:
           f"PScore={stats.pscore:.3f} (8-bit), "
           f"frames={stats.frames}/{pairs[0][0].num_frames}, "
           f"linf={stats.linf * 255:.1f}/255, "
-          f"queries={last_result.queries_used}")
+          f"queries={last_result.queries}")
 
 
 if __name__ == "__main__":

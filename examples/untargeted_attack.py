@@ -47,7 +47,7 @@ def main() -> None:
           f"{result.metadata['escape_rate']:.2f}")
     stats = result.stats
     print(f"perturbation: Spa={stats.spa}, PScore={stats.pscore:.2f}, "
-          f"frames={stats.frames}, queries={result.queries_used}")
+          f"frames={stats.frames}, queries={result.queries}")
 
 
 if __name__ == "__main__":

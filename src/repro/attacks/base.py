@@ -7,10 +7,7 @@ import numpy as np
 from repro.attacks.report import AttackReport
 from repro.video.types import Video
 
-#: Legacy name of :class:`~repro.attacks.report.AttackReport`.  The old
-#: dataclass and the new consolidated report share constructor keywords
-#: (``queries_used`` / ``objective_trace`` still work), so every
-#: pre-redesign call site keeps importing ``AttackResult`` from here.
+#: Older name of :class:`~repro.attacks.report.AttackReport`.
 AttackResult = AttackReport
 
 

@@ -90,8 +90,8 @@ class DUOAttack(Attack):
         return AttackResult(
             adversarial=adversarial,
             perturbation=perturbation,
-            queries_used=objective.queries,
-            objective_trace=trace,
+            queries=objective.queries,
+            trace=trace,
             metadata={
                 "iter_num_h": self.iter_num_h,
                 "k": self.transfer.k,
@@ -136,8 +136,8 @@ class DUOAttack(Attack):
         return AttackResult(
             adversarial=adversarial,
             perturbation=perturbation,
-            queries_used=objective.queries,
-            objective_trace=trace,
+            queries=objective.queries,
+            trace=trace,
             metadata={"mode": "untargeted",
                       "escape_rate": objective.escape_rate(adversarial)},
         )
@@ -149,7 +149,7 @@ class DUOAttack(Attack):
         return AttackResult(
             adversarial=adversarial,
             perturbation=adversarial.pixels - original.pixels,
-            queries_used=0,
+            queries=0,
             metadata={"stage": "transfer-only",
                       "constraint": self.transfer.constraint},
         )

@@ -72,7 +72,7 @@ def evaluate_attack(factory: AttackFactory, victim: VictimSystem,
         per_pair.append(ap)
         spas.append(stats.spa)
         pscores.append(stats.pscore)
-        queries.append(result.queries_used)
+        queries.append(result.queries)
         if keep_results:
             results.append(result)
     return AttackOutcome(

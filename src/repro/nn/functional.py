@@ -131,17 +131,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return result
 
 
+def _needs_grad_w(weight: Tensor) -> bool:
+    """Whether a GEMM conv must keep a private im2col for ``grad_w``.
+
+    Decided at forward time.  Otherwise the forward borrows the plan's
+    per-thread scratch, which the next same-shape conv overwrites, and
+    the backward closure gets no ``cols`` at all — so a weight unfrozen
+    between forward and backward makes ``grad_w`` raise rather than read
+    a clobbered buffer.
+    """
+    return is_grad_enabled() and weight.requires_grad
+
+
 def _conv2d_gemm(kernels, x: Tensor, weight: Tensor, bias: Tensor | None,
                  stride: tuple[int, int], padding: tuple[int, int]) -> Tensor:
     """conv2d via the im2col GEMM kernels (same contract as :func:`conv2d`)."""
-    records_grad = is_grad_enabled() and (
-        x.requires_grad or weight.requires_grad
-        or (bias is not None and bias.requires_grad)
-    )
-    # The plan's scratch buffer may only be reused when no backward closure
-    # will capture ``cols`` (another same-shape forward would clobber it).
-    out, cols, padded_shape = kernels.conv2d_forward(
-        x.data, weight.data, stride, padding, reuse_scratch=not records_grad)
+    keep_cols = _needs_grad_w(weight)
+    out, cols, plan = kernels.conv2d_forward(
+        x.data, weight.data, stride, padding, reuse_scratch=not keep_cols)
+    saved_cols = cols if keep_cols else None
     if bias is not None:
         out += bias.data.reshape(1, -1, 1, 1)
 
@@ -149,7 +157,7 @@ def _conv2d_gemm(kernels, x: Tensor, weight: Tensor, bias: Tensor | None,
 
     def backward(grad, fwd=None):
         grad_x, grad_w = kernels.conv2d_backward(
-            grad, cols, weight.data, x.shape, padded_shape, stride, padding,
+            grad, saved_cols, weight.data, plan,
             x.requires_grad, weight.requires_grad)
         if bias is None:
             return grad_x, grad_w
@@ -254,12 +262,10 @@ def _conv3d_gemm(kernels, x: Tensor, weight: Tensor, bias: Tensor | None,
                  stride: tuple[int, int, int],
                  padding: tuple[int, int, int]) -> Tensor:
     """conv3d via the im2col GEMM kernels (same contract as :func:`conv3d`)."""
-    records_grad = is_grad_enabled() and (
-        x.requires_grad or weight.requires_grad
-        or (bias is not None and bias.requires_grad)
-    )
-    out, cols, padded_shape = kernels.conv3d_forward(
-        x.data, weight.data, stride, padding, reuse_scratch=not records_grad)
+    keep_cols = _needs_grad_w(weight)
+    out, cols, plan = kernels.conv3d_forward(
+        x.data, weight.data, stride, padding, reuse_scratch=not keep_cols)
+    saved_cols = cols if keep_cols else None
     if bias is not None:
         out += bias.data.reshape(1, -1, 1, 1, 1)
 
@@ -267,7 +273,7 @@ def _conv3d_gemm(kernels, x: Tensor, weight: Tensor, bias: Tensor | None,
 
     def backward(grad, fwd=None):
         grad_x, grad_w = kernels.conv3d_backward(
-            grad, cols, weight.data, x.shape, padded_shape, stride, padding,
+            grad, saved_cols, weight.data, plan,
             x.requires_grad, weight.requires_grad)
         if bias is None:
             return grad_x, grad_w
@@ -323,26 +329,22 @@ def max_pool3d(x: Tensor, kernel_size, stride=None) -> Tensor:
                     np.maximum(out, slab, out=out)
 
     def backward(grad, fwd=None):
-        # The window view is only needed to locate argmaxes, so it is built
-        # lazily here — inference never pays for it.
-        windows = _pool3d_windows(x.data, kernel, stride)
-        grad_x = np.zeros_like(x.data)
+        # A pool window is an im2col with no padding, so the gradient is
+        # built on the conv plan's window view — built lazily here, so
+        # inference never pays for it — and scattered by col2im.  The view
+        # is offset-major, as col2im needs: overlapping windows then sum
+        # in kernel-offset order.
+        kernels = _gemm_kernels()
+        plan = kernels.get_plan(x.shape, (1, x.shape[1], *kernel), stride,
+                                (0, 0, 0))
+        windows = plan.window_view(np.ascontiguousarray(x.data))
         # Distribute each output's gradient to the argmax inside its window.
-        mask = windows == out[..., None, None, None]
+        mask = np.equal(windows, out[:, :, None, None, None], order="C")
         # Normalize ties so the gradient total is preserved.
-        weights = mask / mask.sum(axis=(5, 6, 7), keepdims=True)
-        contrib = weights * grad[..., None, None, None]
-        for it in range(kernel[0]):
-            for ih in range(kernel[1]):
-                for iw in range(kernel[2]):
-                    grad_x[
-                        :,
-                        :,
-                        it : it + out_t * stride[0] : stride[0],
-                        ih : ih + out_h * stride[1] : stride[1],
-                        iw : iw + out_w * stride[2] : stride[2],
-                    ] += contrib[:, :, :, :, :, it, ih, iw]
-        return (grad_x,)
+        weights = mask / mask.sum(axis=(2, 3, 4), keepdims=True)
+        contrib = weights * grad[:, :, None, None, None]
+        return (kernels.col2im(contrib, plan).astype(x.data.dtype,
+                                                     copy=False),)
 
     result = make_op(out, (x,), backward, "max_pool3d")
     tracer = get_tracer()

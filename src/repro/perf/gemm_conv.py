@@ -13,15 +13,18 @@ to plain BLAS calls:
 
 * forward:   ``out[b] = W₂ @ cols[b]``            (``W₂`` is ``(F, C·K)``)
 * grad_w:    ``gW = Σ_b grad[b] @ cols[b].T``     (one ``tensordot``)
-* grad_x:    ``gcols[b] = W₂.T @ grad[b]`` then the inverse slab scatter
+* grad_x:    ``gcols[b] = W₂.T @ grad[b]`` then :func:`col2im`, one
+  ``np.bincount`` of ``gcols`` over the plan's cached per-sample index
 
 Because the output positions are the trailing axis, the forward result
 reshapes straight into ``(B, F, *out_spatial)`` with no transpose.
 
 A :class:`ConvPlan` per ``(shape, stride, padding)`` caches the derived
-geometry and owns a reusable scratch buffer for ``cols``; the buffer is
-only handed out on inference calls (no autograd recording), because the
-backward closure of a recorded op must keep its own ``cols`` alive.
+geometry, the col2im index and a per-thread scratch buffer for ``cols``.
+The scratch is handed out whenever no weight gradient will be computed
+— inference, and grad-mode calls with a frozen weight — because only
+``grad_w`` reads ``cols`` after the forward returns.  A forward that
+will need ``grad_w`` gets a private ``cols`` for its backward closure.
 
 All kernels operate on plain ``numpy`` arrays — autograd wiring stays in
 ``repro.nn.functional``.  Outputs and gradients match the einsum path
@@ -93,29 +96,16 @@ def should_use_gemm(gemm_elems: int) -> bool:
         default) == "gemm"
 
 
-def _kernel_offsets(kernel: tuple[int, ...]):
-    """All kernel-offset index tuples, row-major (matches reshape order)."""
-    return np.ndindex(*kernel)
-
-
-def _slab(out_spatial, stride, offset):
-    """Strided slices picking one kernel offset's input slab."""
-    return tuple(
-        slice(off, off + size * step, step)
-        for off, size, step in zip(offset, out_spatial, stride)
-    )
-
-
 # ---------------------------------------------------------------------- #
 # Plan cache
 # ---------------------------------------------------------------------- #
 class ConvPlan:
-    """Cached geometry + scratch buffer for one conv problem shape."""
+    """Cached geometry, col2im index and scratch for one conv problem shape."""
 
     __slots__ = ("x_shape", "w_shape", "stride", "padding", "out_spatial",
                  "cols_shape", "gemm_elems", "positions", "kernel_elems",
                  "padded_shape", "view_strides", "core_slices", "hits",
-                 "_tls", "scratch_bytes")
+                 "_tls", "scratch_bytes", "_col2im_index")
 
     def __init__(self, x_shape, w_shape, stride, padding) -> None:
         self.x_shape = x_shape
@@ -155,9 +145,39 @@ class ConvPlan:
         # im2col fill tear another's mid-GEMM.
         self._tls = threading.local()
         self.scratch_bytes = 0
+        self._col2im_index = None
+
+    def window_view(self, padded: np.ndarray) -> np.ndarray:
+        """The ``(B, C, *K, *P)`` im2col view of a C-contiguous padded input.
+
+        Kernel-offset axes come ahead of the output-position axes, and
+        positions step by ``stride``; nothing is copied.
+        """
+        return np.lib.stride_tricks.as_strided(
+            padded, shape=self.cols_shape,
+            strides=tuple(s * padded.itemsize for s in self.view_strides))
+
+    def col2im_index(self) -> np.ndarray:
+        """Flat padded-input position of each entry of one sample's ``cols``.
+
+        Built on first use from the forward's own window view, applied to
+        an ``arange`` over one padded sample, so entry ``i`` of a
+        flattened ``(C, *K, *P)`` im2col block came from input element
+        ``index[i]``.  Concurrent first calls build equal arrays; either
+        may win.
+        """
+        index = self._col2im_index
+        if index is None:
+            sample = np.arange(int(np.prod(self.padded_shape[1:])))
+            index = np.lib.stride_tricks.as_strided(
+                sample, shape=self.cols_shape[1:],
+                strides=tuple(s * sample.itemsize
+                              for s in self.view_strides[1:])).ravel()
+            self._col2im_index = index
+        return index
 
     def cols_buffer(self, reuse: bool) -> np.ndarray:
-        """A ``cols`` buffer; the cached scratch only on inference calls."""
+        """A ``cols`` buffer: the per-thread scratch when ``reuse`` is set."""
         if not reuse:
             return np.empty(self.cols_shape)
         scratch = getattr(self._tls, "cols", None)
@@ -186,6 +206,9 @@ class ConvPlan:
 _MAX_PLANS = 64
 _plans: OrderedDict[tuple, ConvPlan] = OrderedDict()
 _plan_misses = 0
+#: Guards ``_plans``: a lookup's ``move_to_end`` must not race another
+#: thread's eviction of the same key.
+_plans_lock = threading.Lock()
 
 
 def plan_cache_cap() -> int:
@@ -197,8 +220,12 @@ def get_plan(x_shape, w_shape, stride, padding) -> ConvPlan:
     """Fetch (or build) the plan for one problem shape, LRU-bounded."""
     global _plan_misses
     key = (x_shape, w_shape, stride, padding)
-    plan = _plans.get(key)
-    if plan is None:
+    with _plans_lock:
+        plan = _plans.get(key)
+        if plan is not None:
+            plan.hits += 1
+            _plans.move_to_end(key)
+            return plan
         plan = ConvPlan(x_shape, w_shape, stride, padding)
         _plans[key] = plan
         _plan_misses += 1
@@ -206,28 +233,29 @@ def get_plan(x_shape, w_shape, stride, padding) -> ConvPlan:
         while len(_plans) > cap:
             _plans.popitem(last=False)
             counter("perf.plan_cache.evictions").inc()
-    else:
-        plan.hits += 1
-        _plans.move_to_end(key)
     return plan
 
 
 def plan_cache_info() -> dict:
     """Plan-cache statistics (size, cap, hits, misses, scratch bytes)."""
+    with _plans_lock:
+        plans = list(_plans.values())
+        misses = _plan_misses
     return {
-        "size": len(_plans),
+        "size": len(plans),
         "cap": plan_cache_cap(),
-        "hits": sum(plan.hits for plan in _plans.values()),
-        "misses": _plan_misses,
-        "scratch_bytes": sum(plan.scratch_bytes for plan in _plans.values()),
+        "hits": sum(plan.hits for plan in plans),
+        "misses": misses,
+        "scratch_bytes": sum(plan.scratch_bytes for plan in plans),
     }
 
 
 def clear_plan_cache() -> None:
     """Drop all cached plans and scratch buffers."""
     global _plan_misses
-    _plans.clear()
-    _plan_misses = 0
+    with _plans_lock:
+        _plans.clear()
+        _plan_misses = 0
 
 
 # ---------------------------------------------------------------------- #
@@ -265,44 +293,54 @@ def _conv_forward(x: np.ndarray, weight: np.ndarray, stride, padding,
     # axes, positions stepped by ``stride``), so the windowed-transposed
     # view is one ``as_strided`` and the fill is one ``copyto`` whose
     # inner runs are whole output rows (stride-1 contiguous).
-    item = padded.itemsize
-    windows = np.lib.stride_tricks.as_strided(
-        padded, shape=plan.cols_shape,
-        strides=tuple(s * item for s in plan.view_strides))
     cols = plan.cols_buffer(reuse_scratch)
-    np.copyto(cols, windows)
+    np.copyto(cols, plan.window_view(padded))
 
     mat = cols.reshape(batch, in_ch * plan.kernel_elems, plan.positions)
     out = np.matmul(weight.reshape(out_ch, -1), mat)
-    return out.reshape(batch, out_ch, *plan.out_spatial), mat, plan.padded_shape
+    return out.reshape(batch, out_ch, *plan.out_spatial), mat, plan
 
 
-def _conv_backward(grad: np.ndarray, cols: np.ndarray, weight: np.ndarray,
-                   x_shape, padded_shape, stride, padding,
+def col2im(cols: np.ndarray, plan: ConvPlan) -> np.ndarray:
+    """Sum ``(B, C, *K, *P)`` im2col entries back onto the padded input.
+
+    One ``np.bincount`` over the plan's per-sample index, offset by
+    sample.  ``cols`` is read in its ``(C, K, P)`` order, so every input
+    element accumulates from ``0.0`` in kernel-offset order — the same
+    additions, in the same order, as one strided ``+=`` per offset
+    (:func:`repro.qa.reference.col2im_offset_loop`), signed zeros
+    included.
+    """
+    index = plan.col2im_index()
+    batch = plan.padded_shape[0]
+    sample = int(np.prod(plan.padded_shape[1:]))
+    if batch > 1:
+        index = (index + np.arange(0, batch * sample, sample)[:, None]).ravel()
+    return np.bincount(index, weights=cols.ravel(),
+                       minlength=batch * sample).reshape(plan.padded_shape)
+
+
+def _conv_backward(grad: np.ndarray, cols: np.ndarray | None,
+                   weight: np.ndarray, plan: ConvPlan,
                    need_grad_x: bool, need_grad_w: bool):
-    batch, in_ch = x_shape[0], x_shape[1]
-    spatial = x_shape[2:]
+    batch = plan.x_shape[0]
     out_ch = weight.shape[0]
-    kernel = weight.shape[2:]
-    out_spatial = grad.shape[2:]
-    positions = int(np.prod(out_spatial))
-
-    grad_mat = grad.reshape(batch, out_ch, positions)
+    grad_mat = grad.reshape(batch, out_ch, plan.positions)
     grad_w = None
     if need_grad_w:
+        if cols is None:
+            # The forward ran with a frozen weight and lent its im2col to
+            # the plan's scratch, which later convs may have overwritten.
+            raise RuntimeError(
+                "conv weight gradient requested, but the forward kept no "
+                "im2col: the weight did not require grad when it ran")
         grad_w = np.tensordot(grad_mat, cols,
                               axes=([0, 2], [0, 2])).reshape(weight.shape)
     grad_x = None
     if need_grad_x:
         gcols = np.matmul(weight.reshape(out_ch, -1).T, grad_mat)
-        gcols = gcols.reshape(batch, in_ch, *kernel, *out_spatial)
-        grad_padded = np.zeros(padded_shape)
-        for offset in _kernel_offsets(kernel):
-            grad_padded[(slice(None), slice(None),
-                         *_slab(out_spatial, stride, offset))] += \
-                gcols[(slice(None), slice(None), *offset)]
-        crop = tuple(slice(p, p + size) for p, size in zip(padding, spatial))
-        grad_x = grad_padded[(slice(None), slice(None), *crop)]
+        grad_x = col2im(gcols.reshape(plan.cols_shape), plan)[
+            plan.core_slices]
     return grad_x, grad_w
 
 
@@ -311,33 +349,36 @@ def _conv_backward(grad: np.ndarray, cols: np.ndarray, weight: np.ndarray,
 # ---------------------------------------------------------------------- #
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, stride, padding,
                    reuse_scratch: bool = False):
-    """GEMM forward; returns ``(out, cols, padded_shape)``.
+    """GEMM forward; returns ``(out, cols, plan)``.
 
     ``cols`` is the ``(B, C·K, P)`` im2col matrix the backward pass needs
-    for ``grad_w``; callers must not hold it past the op when
-    ``reuse_scratch`` is set.
+    for ``grad_w``; when ``reuse_scratch`` is set it is the plan's
+    per-thread scratch, which the next same-shape conv overwrites, so the
+    caller must not keep it past the op.
     """
     return _conv_forward(x, weight, stride, padding, reuse_scratch)
 
 
-def conv2d_backward(grad, cols, weight, x_shape, padded_shape, stride,
-                    padding, need_grad_x: bool, need_grad_w: bool):
-    """GEMM backward; returns ``(grad_x, grad_w)`` (``None`` when unneeded)."""
-    return _conv_backward(grad, cols, weight, x_shape, padded_shape,
-                          stride, padding, need_grad_x, need_grad_w)
+def conv2d_backward(grad, cols, weight, plan, need_grad_x: bool,
+                    need_grad_w: bool):
+    """GEMM backward; returns ``(grad_x, grad_w)`` (``None`` when unneeded).
+
+    ``cols`` may be ``None`` when no weight gradient is needed; asking
+    for ``grad_w`` without it raises.
+    """
+    return _conv_backward(grad, cols, weight, plan, need_grad_x, need_grad_w)
 
 
 def conv3d_forward(x: np.ndarray, weight: np.ndarray, stride, padding,
                    reuse_scratch: bool = False):
-    """GEMM forward over ``(T, H, W)``; returns ``(out, cols, padded_shape)``."""
+    """GEMM forward over ``(T, H, W)``; returns ``(out, cols, plan)``."""
     return _conv_forward(x, weight, stride, padding, reuse_scratch)
 
 
-def conv3d_backward(grad, cols, weight, x_shape, padded_shape, stride,
-                    padding, need_grad_x: bool, need_grad_w: bool):
+def conv3d_backward(grad, cols, weight, plan, need_grad_x: bool,
+                    need_grad_w: bool):
     """GEMM backward for conv3d; returns ``(grad_x, grad_w)``."""
-    return _conv_backward(grad, cols, weight, x_shape, padded_shape,
-                          stride, padding, need_grad_x, need_grad_w)
+    return _conv_backward(grad, cols, weight, plan, need_grad_x, need_grad_w)
 
 
 # ---------------------------------------------------------------------- #
@@ -351,9 +392,9 @@ def bind_replay(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
     Everything shape-dependent — the plan, the padded staging buffer, the
     ``as_strided`` window view, the reshaped GEMM operands — is resolved
     here, once; the returned zero-arg thunk recomputes ``out_nd`` (and
-    ``cols_mat``, which grad-mode backward closures captured) in place
-    from the *current* contents of ``x``.  Rank-agnostic: the same code
-    serves conv2d and conv3d.
+    ``cols_mat``, which a trainable weight's backward closure captured)
+    in place from the *current* contents of ``x``.  Rank-agnostic: the
+    same code serves conv2d and conv3d.
     """
     plan = get_plan(x.shape, weight.shape, stride, padding)
     w2 = weight.reshape(weight.shape[0], -1)
@@ -366,10 +407,7 @@ def bind_replay(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
         # Mirrors the eager path's ascontiguousarray staging copy.
         base = np.empty(x.shape, dtype=x.dtype)
         core = (slice(None),) * x.ndim
-    item = base.itemsize
-    windows = np.lib.stride_tricks.as_strided(
-        base, shape=plan.cols_shape,
-        strides=tuple(s * item for s in plan.view_strides))
+    windows = plan.window_view(base)
     cols_nd = cols_mat.reshape(plan.cols_shape)
     out_mat = out_nd.reshape(out_nd.shape[0], out_nd.shape[1], plan.positions)
     bias_r = None if bias is None else \

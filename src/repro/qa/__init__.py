@@ -6,7 +6,8 @@ Three pillars (DESIGN.md §11):
   reference/fast implementation pairs (GEMM conv vs einsum, batched vs
   sequential search, cached vs uncached embeddings, replicated vs
   single-shard retrieval, speculative vs sequential attack steps) checked
-  on seeded generated inputs with shrink-on-failure.
+  on seeded generated inputs with shrink-on-failure.  Loops a kernel
+  replaced live on in :mod:`repro.qa.reference` as the reference side.
 * :mod:`repro.qa.golden` + :mod:`repro.qa.regen` — compact JSON golden
   traces for the attack loops and one end-to-end experiment, with a
   deterministic regeneration CLI (``python -m repro.qa.regen``).

@@ -119,9 +119,10 @@ def scenario_simba() -> dict:
     world, objective = _objective_world()
     support = np.zeros(world.original.pixels.shape, dtype=bool)
     support[:2] = True
-    adversarial, perturbation, trace = simba_search(
+    report = simba_search(
         world.original, objective, support, tau=30 / 255.0, iterations=10,
         rng=ATTACK_SEED + 4)
+    perturbation, trace = report.perturbation, report.trace
     return {
         "perturbation_digest": array_digest(perturbation),
         "trace": [float(v) for v in trace],
@@ -135,9 +136,10 @@ def scenario_nes() -> dict:
     world, objective = _objective_world()
     support = np.zeros(world.original.pixels.shape, dtype=bool)
     support[:2] = True
-    adversarial, perturbation, trace = nes_search(
+    report = nes_search(
         world.original, objective, support, tau=30 / 255.0, iterations=3,
         samples=2, rng=ATTACK_SEED + 6)
+    perturbation, trace = report.perturbation, report.trace
     return {
         "perturbation_digest": array_digest(perturbation),
         "trace": [float(v) for v in trace],

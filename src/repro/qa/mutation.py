@@ -33,9 +33,9 @@ def seeded_conv_fault(scale: float = 1.0 + 1e-3):
     original = gemm_conv._conv_forward
 
     def faulty(x, weight, stride, padding, reuse_scratch):
-        out, cols, padded_shape = original(x, weight, stride, padding,
-                                           reuse_scratch)
-        return out * scale, cols, padded_shape
+        out, cols, plan = original(x, weight, stride, padding,
+                                   reuse_scratch)
+        return out * scale, cols, plan
 
     gemm_conv._conv_forward = faulty
     try:

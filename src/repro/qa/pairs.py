@@ -5,6 +5,8 @@ with every reference/fast equivalence contract the library claims:
 
 * ``conv2d`` / ``conv3d``: strided-einsum vs im2col GEMM (forward and
   both gradients) — the contract behind ``REPRO_CONV_IMPL``;
+* the bincount ``col2im`` vs the offset loop it replaced, byte for byte,
+  for conv input gradients and the ``max_pool3d`` backward;
 * ``search`` vs ``search_batch`` on :class:`FeatureIndex`,
   :class:`IVFIndex`, and :class:`ShardedGallery`;
 * cached vs uncached query embeddings (``REPRO_EMBED_CACHE``);
@@ -20,6 +22,8 @@ integers without ever producing inconsistent array shapes.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -42,6 +46,7 @@ from repro.qa.generators import (
     shrink_int,
 )
 from repro.qa.oracle import OraclePair, register
+from repro.qa.reference import max_pool3d_grad_loop, offset_loop_col2im
 from repro.qa.world import build_world, tiny_extractor
 from repro.resilience.config import ResilienceConfig
 from repro.retrieval.ann import IVFIndex
@@ -151,6 +156,117 @@ register(OraclePair(
     cases=4,
     description="conv3d forward/backward: strided einsum vs im2col GEMM",
     guards=("REPRO_CONV_IMPL",),
+))
+
+
+# ---------------------------------------------------------------------- #
+# col2im: one bincount vs the offset loop, byte for byte
+# ---------------------------------------------------------------------- #
+def _signed_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal draws with about 15% ``+0.0`` and 15% ``-0.0`` entries."""
+    values = rng.normal(size=shape)
+    pick = rng.random(shape)
+    values[pick < 0.15] = 0.0
+    values[(pick >= 0.15) & (pick < 0.3)] = -0.0
+    return values
+
+
+def _col2im_conv_run(loop: bool, seed, rank, batch, in_ch, out_ch, spatial,
+                     kernel, stride, padding, frozen):
+    """Digests of a GEMM conv's gradients, col2im shipped or looped."""
+    rng = np.random.default_rng(seed)
+    kernel, stride, padding = kernel[:rank], stride[:rank], padding[:rank]
+    spatial = tuple(max(size, k) for size, k in zip(spatial, kernel))
+    x = Tensor(_signed_normal(rng, (batch, in_ch, *spatial)),
+               requires_grad=True)
+    w = Tensor(_signed_normal(rng, (out_ch, in_ch, *kernel)),
+               requires_grad=not frozen)
+    conv = F.conv2d if rank == 2 else F.conv3d
+    previous = gemm_conv._forced_impl
+    gemm_conv.set_conv_impl("gemm")
+    try:
+        with offset_loop_col2im() if loop else contextlib.nullcontext():
+            out = conv(x, w, stride=stride, padding=padding)
+            out.backward(_signed_normal(rng, out.shape))
+    finally:
+        gemm_conv.set_conv_impl(previous)
+    return {"grad_x": array_digest(x.grad),
+            "grad_w": None if frozen else array_digest(w.grad)}
+
+
+def _col2im_conv_strategy(rng: np.random.Generator) -> dict:
+    return {
+        "seed": int(rng.integers(0, 2**31)),
+        "rank": int(rng.integers(2, 4)),
+        "batch": int(rng.integers(1, 4)),
+        "in_ch": int(rng.integers(1, 4)),
+        "out_ch": int(rng.integers(1, 4)),
+        "spatial": tuple(int(v) for v in rng.integers(3, 8, size=3)),
+        "kernel": tuple(int(v) for v in rng.integers(1, 4, size=3)),
+        "stride": tuple(int(v) for v in rng.integers(1, 3, size=3)),
+        "padding": tuple(int(v) for v in rng.integers(0, 2, size=3)),
+        "frozen": bool(rng.integers(0, 2)),
+    }
+
+
+register(OraclePair(
+    name="conv.col2im_vs_offset_loop",
+    reference=lambda **case: _col2im_conv_run(True, **case),
+    fast=lambda **case: _col2im_conv_run(False, **case),
+    strategy=Strategy("col2im_conv", _col2im_conv_strategy,
+                      _CONV_SHRINKERS),
+    cases=8,
+    description="conv input gradient: bincount col2im vs the offset loop, "
+                "byte for byte (signed zeros, stride 2, padding 0, "
+                "batch > 1)",
+))
+
+
+def _pool_case(seed, batch, channels, spatial, kernel, stride):
+    """Small-integer input (so windows tie) and a signed-zero gradient."""
+    rng = np.random.default_rng(seed)
+    spatial = tuple(max(size, k) for size, k in zip(spatial, kernel))
+    x = rng.integers(-2, 3, size=(batch, channels, *spatial)).astype(float)
+    out_shape = (batch, channels) + tuple(
+        (size - k) // step + 1 for size, k, step in zip(spatial, kernel,
+                                                        stride))
+    return x, _signed_normal(rng, out_shape)
+
+
+def _pool_grad_shipped(seed, batch, channels, spatial, kernel, stride):
+    x_data, grad = _pool_case(seed, batch, channels, spatial, kernel, stride)
+    x = Tensor(x_data, requires_grad=True)
+    F.max_pool3d(x, kernel, stride).backward(grad)
+    return array_digest(x.grad)
+
+
+def _pool_grad_loop(seed, batch, channels, spatial, kernel, stride):
+    x_data, grad = _pool_case(seed, batch, channels, spatial, kernel, stride)
+    out = F.max_pool3d(Tensor(x_data), kernel, stride).data
+    return array_digest(max_pool3d_grad_loop(x_data, out, grad, kernel,
+                                             stride))
+
+
+def _pool_strategy(rng: np.random.Generator) -> dict:
+    return {
+        "seed": int(rng.integers(0, 2**31)),
+        "batch": int(rng.integers(1, 4)),
+        "channels": int(rng.integers(1, 3)),
+        "spatial": tuple(int(v) for v in rng.integers(2, 8, size=3)),
+        "kernel": tuple(int(v) for v in rng.integers(1, 4, size=3)),
+        "stride": tuple(int(v) for v in rng.integers(1, 4, size=3)),
+    }
+
+
+register(OraclePair(
+    name="max_pool3d.col2im_vs_offset_loop",
+    reference=_pool_grad_loop,
+    fast=_pool_grad_shipped,
+    strategy=Strategy("max_pool3d", _pool_strategy,
+                      {"batch": shrink_int(1), "channels": shrink_int(1)}),
+    cases=8,
+    description="max_pool3d backward: col2im scatter vs the offset loop, "
+                "byte for byte (ties, overlapping windows, signed zeros)",
 ))
 
 
@@ -691,7 +807,7 @@ def _legacy_attack_run(name: str, seed: int, iters: int) -> dict:
                            transfer_outer_iters=1, theta_steps=3, rng=rng)
         result = attack.run(world.original, world.target)
         return _attack_digests(world.service, result.adversarial,
-                               result.objective_trace, result.queries_used)
+                               result.trace, result.queries)
     if name == "timi":
         from repro.attacks.timi import timi_transfer
 

@@ -67,7 +67,7 @@ class TestVanillaAttack:
         assert result.adversarial.pixels.max() <= 1.0
         assert result.stats.linf <= 30.0 / 255.0 + 1e-9
         assert result.stats.frames <= 3
-        assert result.queries_used >= 3
+        assert result.queries >= 3
         assert result.stats.spa <= 60
 
     def test_objective_trace_recorded(self, tiny_victim, attack_pair):
@@ -76,7 +76,7 @@ class TestVanillaAttack:
                          iterations=5, seed=2),
             service=tiny_victim.service)
         result = attack.run(*attack_pair)
-        assert len(result.objective_trace) >= 1
+        assert len(result.trace) >= 1
 
 
 class TestTimiAttack:
@@ -86,7 +86,7 @@ class TestTimiAttack:
             AttackConfig(strategy="timi", tau=30, iterations=3),
             surrogate=tiny_surrogate)
         result = attack.run(original, target)
-        assert result.queries_used == 0
+        assert result.queries == 0
         assert result.stats.linf <= 30.0 / 255.0 + 1e-9
         # TIMI is dense: it touches (almost) every frame.
         assert result.stats.frames == original.num_frames
@@ -117,7 +117,7 @@ class TestHeuAttacks:
             service=tiny_victim.service)
         result = attack.run(*attack_pair)
         assert result.stats.linf <= 30.0 / 255.0 + 1e-9
-        assert result.queries_used >= 2 + 2 * (2 * 2 + 1)
+        assert result.queries >= 2 + 2 * (2 * 2 + 1)
 
     def test_heu_sim_runs(self, tiny_victim, attack_pair):
         attack = build_attack(

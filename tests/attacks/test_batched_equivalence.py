@@ -120,12 +120,12 @@ class TestSimbaEquivalence:
         for batched in (False, True):
             service = fresh_service(cacheless_engine)
             objective = RetrievalObjective(service, original, target)
-            adversarial, perturbation, trace = simba_search(
+            report = simba_search(
                 original, objective, support, tau=0.1, iterations=6,
                 rng=np.random.default_rng(7), batched=batched,
             )
-            runs[batched] = (perturbation, trace, objective.queries,
-                             service.query_count)
+            runs[batched] = (report.perturbation, report.trace,
+                             objective.queries, service.query_count)
         seq, bat = runs[False], runs[True]
         np.testing.assert_array_equal(bat[0], seq[0])
         assert bat[1:] == seq[1:]
@@ -140,12 +140,13 @@ class TestNesEquivalence:
         for batched in (False, True):
             service = fresh_service(cacheless_engine)
             objective = RetrievalObjective(service, original, target)
-            adversarial, perturbation, trace = nes_search(
+            report = nes_search(
                 original, objective, support, tau=0.06, iterations=2,
                 samples=2, rng=np.random.default_rng(11), batched=batched,
             )
-            runs[batched] = (perturbation, trace, objective.queries,
-                             list(objective.trace), service.query_count)
+            runs[batched] = (report.perturbation, report.trace,
+                             objective.queries, list(objective.trace),
+                             service.query_count)
         seq, bat = runs[False], runs[True]
         np.testing.assert_array_equal(bat[0], seq[0])
         assert bat[1:] == seq[1:]

@@ -107,7 +107,7 @@ class TestDUOPipeline:
             theta_steps=2, rng=9,
         )
         result = attack.run(original, target)
-        assert result.queries_used > 0
+        assert result.queries > 0
         assert result.stats.frames <= result.perturbation.shape[0]
         # Two loops, each bounded by τ, so total drift is at most 2τ.
         assert result.stats.linf <= 2 * 30.0 / 255.0 + 1e-9
@@ -122,7 +122,7 @@ class TestDUOPipeline:
         )
         before = tiny_victim.service.query_count
         result = attack.transfer_only(*attack_pair)
-        assert result.queries_used == 0
+        assert result.queries == 0
         assert tiny_victim.service.query_count == before
         assert result.stats.spa <= 80
 

@@ -60,7 +60,7 @@ class TestUntargetedDUO:
         result = attack.run_untargeted(original)
         assert result.metadata["mode"] == "untargeted"
         assert 0.0 <= result.metadata["escape_rate"] <= 1.0
-        assert result.queries_used > 0
+        assert result.queries > 0
         assert result.stats.frames <= original.num_frames
         assert result.adversarial.pixels.min() >= 0.0
         assert result.adversarial.pixels.max() <= 1.0

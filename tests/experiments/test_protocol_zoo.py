@@ -21,7 +21,7 @@ class NullAttack(Attack):
         return AttackResult(
             adversarial=original.copy(),
             perturbation=np.zeros_like(original.pixels),
-            queries_used=0,
+            queries=0,
         )
 
 

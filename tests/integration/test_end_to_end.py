@@ -36,12 +36,12 @@ def test_full_pipeline_runs_and_reports(tmp_path):
 
     # Structural invariants of a complete run.
     assert 0.0 <= ap <= 1.0
-    assert result.queries_used >= 3
+    assert result.queries >= 3
     assert result.stats.spa > 0
     assert result.stats.frames <= 4
     assert result.adversarial.pixels.min() >= 0.0
     assert result.adversarial.pixels.max() <= 1.0
-    assert np.isfinite(result.objective_trace).all()
+    assert np.isfinite(result.trace).all()
 
 
 def test_objective_decrease_tracks_list_movement(tiny_victim, tiny_surrogate,
@@ -60,7 +60,7 @@ def test_objective_decrease_tracks_list_movement(tiny_victim, tiny_surrogate,
         tiny_victim.service.query(result.adversarial).ids,
         objective.target_ids,
     )
-    trace = result.objective_trace
+    trace = result.trace
     if trace and min(trace) < trace[0]:
         assert final_similarity >= baseline_similarity - 1e-9
 

@@ -224,9 +224,79 @@ class TestPlanCache:
         assert info["cap"] == 2
         assert evictions.value - before == 2
 
+    def test_lru_survives_concurrent_eviction(self, monkeypatch):
+        """``get_plan`` must not race another thread's eviction.
+
+        At cap 1 every lookup of a different shape evicts the one cached
+        plan; an unlocked lookup's ``move_to_end`` then finds its key
+        gone and raises ``KeyError``.
+        """
+        import sys
+
+        from repro.perf.gemm_conv import get_plan
+        from repro.qa.concurrency import BarrierHarness
+
+        monkeypatch.setenv("REPRO_PLAN_CACHE_CAP", "1")
+        w_shape = (2, 1, 3, 3)
+
+        def worker(thread_id, step, _rng):
+            for _ in range(50):
+                plan = get_plan((1, 1, 5 + thread_id, 5), w_shape, (1, 1),
+                                (0, 0))
+                assert plan.x_shape[2] == 5 + thread_id
+                plan_cache_info()
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            BarrierHarness(threads=4, steps=20, seed=5).run_free(worker)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert plan_cache_info()["size"] == 1
+
     def test_cap_must_be_positive(self, monkeypatch):
         from repro.perf import plan_cache_cap
 
         monkeypatch.setenv("REPRO_PLAN_CACHE_CAP", "0")
         with pytest.raises(ValueError):
             plan_cache_cap()
+
+
+class TestScratchRule:
+    """Only a forward whose weight gradient will be taken keeps its im2col."""
+
+    def test_frozen_weight_grad_mode_reuses_scratch(self, rng):
+        set_conv_impl("gemm")
+        w = Tensor(rng.normal(size=(2, 3, 3, 3, 3)))
+        sizes = []
+        for step in range(3):
+            x = Tensor(rng.normal(size=(1, 3, 4, 6, 6)), requires_grad=True)
+            F.conv3d(x, w, padding=1).sum().backward()
+            assert x.grad is not None
+            sizes.append(plan_cache_info()["scratch_bytes"])
+        assert sizes[0] > 0
+        assert sizes == [sizes[0]] * 3
+
+    def test_trainable_weight_two_forwards_one_backward(self, rng):
+        set_conv_impl("gemm")
+        x_data = rng.normal(size=(2, 3, 4, 6, 6))
+        w_data = rng.normal(size=(2, 3, 3, 3, 3))
+        w = Tensor(w_data, requires_grad=True)
+        first = F.conv3d(Tensor(x_data), w, padding=1)
+        F.conv3d(Tensor(rng.normal(size=x_data.shape)), w, padding=1)
+        first.sum().backward()
+
+        set_conv_impl("einsum")
+        w_ref = Tensor(w_data, requires_grad=True)
+        F.conv3d(Tensor(x_data), w_ref, padding=1).sum().backward()
+        np.testing.assert_allclose(w.grad, w_ref.grad, rtol=1e-10,
+                                   atol=1e-10)
+
+    def test_unfreezing_between_forward_and_backward_fails_closed(self, rng):
+        set_conv_impl("gemm")
+        x = Tensor(rng.normal(size=(1, 3, 4, 6, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3, 3, 3, 3)))
+        out = F.conv3d(x, w, padding=1)
+        w.requires_grad = True
+        with pytest.raises(RuntimeError, match="kept no im2col"):
+            out.sum().backward()

@@ -165,7 +165,7 @@ class TestSimbaResume:
         support = rng.random(setup.original.pixels.shape) < 0.1
         path = tmp_path / "simba.pkl"
 
-        clean_adv, clean_phi, clean_trace = simba_search(
+        clean = simba_search(
             setup.original, setup.objectives["clean"], support,
             tau=0.1, iterations=8, rng=0)
 
@@ -175,12 +175,12 @@ class TestSimbaResume:
                     setup.original, setup.objectives["faulted"], support,
                     tau=0.1, iterations=8, rng=0, checkpoint_path=path),
                 path)
-        adversarial, phi, trace = result
 
         assert failures >= 1
-        assert trace == clean_trace
-        np.testing.assert_array_equal(phi, clean_phi)
-        np.testing.assert_array_equal(adversarial.pixels, clean_adv.pixels)
+        assert result.trace == clean.trace
+        np.testing.assert_array_equal(result.perturbation, clean.perturbation)
+        np.testing.assert_array_equal(result.adversarial.pixels,
+                                      clean.adversarial.pixels)
         assert setup.services["faulted"].query_count == \
             setup.services["clean"].query_count
         assert not path.exists()
@@ -193,7 +193,7 @@ class TestNesResume:
         support = rng.random(setup.original.pixels.shape) < 0.1
         path = tmp_path / "nes.pkl"
 
-        clean_adv, clean_phi, clean_trace = nes_search(
+        clean = nes_search(
             setup.original, setup.objectives["clean"], support,
             tau=0.1, iterations=4, samples=2, rng=0)
 
@@ -204,12 +204,12 @@ class TestNesResume:
                     tau=0.1, iterations=4, samples=2, rng=0,
                     checkpoint_path=path),
                 path)
-        adversarial, phi, trace = result
 
         assert failures >= 1
-        assert trace == clean_trace
-        np.testing.assert_array_equal(phi, clean_phi)
-        np.testing.assert_array_equal(adversarial.pixels, clean_adv.pixels)
+        assert result.trace == clean.trace
+        np.testing.assert_array_equal(result.perturbation, clean.perturbation)
+        np.testing.assert_array_equal(result.adversarial.pixels,
+                                      clean.adversarial.pixels)
         assert setup.services["faulted"].query_count == \
             setup.services["clean"].query_count
         assert not path.exists()
