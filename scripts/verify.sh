@@ -17,12 +17,10 @@
 #   8. the trace-and-fuse smoke bench (gates the 1.3x replay floor) and
 #      a second golden-trace pass with REPRO_NN_FUSE=1 (replay must be
 #      byte-identical to the eager goldens),
-#   9. the attack strategy grid smoke bench (every registry composition
+#   9. the env-flag conformance suite,
+#  10. the attack strategy grid smoke bench (every registry composition
 #      under budget against the stateful detector + admission control;
 #      writes BENCH_attacks.json),
-#  10. the env-flag conformance + router suites and the adaptive-router
-#      smoke bench (routed wall time within 1.25x of the best pinned
-#      configuration),
 #  11. the end-to-end benchmark's self-tests (perfbench/tests).
 # "verify.sh: OK" is printed only after every stage has run.
 set -euo pipefail
@@ -75,11 +73,8 @@ python benchmarks/bench_jit.py --smoke
 echo "== qa golden-trace gate (REPRO_NN_FUSE=1) =="
 REPRO_NN_FUSE=1 python -m repro.qa.regen --check
 
-echo "== env-flag conformance + router tests =="
-python -m pytest -x -q tests/utils tests/router
-
-echo "== adaptive-router smoke bench =="
-python benchmarks/bench_router.py --smoke
+echo "== env-flag conformance tests =="
+python -m pytest -x -q tests/utils
 
 echo "== attack strategy grid smoke bench =="
 python benchmarks/bench_attack_grid.py --smoke

@@ -115,15 +115,6 @@ def simba_search(original: Video, objective: RetrievalObjective,
     if batched is None:
         batched = bool(getattr(objective, "speculate", None)) and \
             getattr(objective, "speculation_safe", False)
-        if batched:
-            # Speculation is trace/query-count identical to the
-            # sequential loop, so when it is *possible* the router may
-            # still decline it on measured cost (e.g. when the paired
-            # batch is slower than two scalar calls on this machine).
-            from repro.router import active_router
-
-            batched = active_router().decide(
-                "speculate", "simba", ("off", "on"), "on") == "on"
 
     session = CheckpointSession(checkpoint_path, checkpoint_algo, objective,
                                 rng)
@@ -240,14 +231,6 @@ def nes_search(original: Video, objective: RetrievalObjective,
 
     if batched is None:
         batched = getattr(objective, "values", None) is not None
-        if batched:
-            # Same contract as the SimBA leg: NES probe batching is
-            # rng/trace-identical to the loop, so the router only weighs
-            # measured latency.
-            from repro.router import active_router
-
-            batched = active_router().decide(
-                "speculate", "nes", ("off", "on"), "on") == "on"
 
     session = CheckpointSession(checkpoint_path, checkpoint_algo, objective,
                                 rng)

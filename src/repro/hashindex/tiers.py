@@ -24,6 +24,9 @@ Tiers:
 ``ivfpq``
     :class:`~repro.hashindex.ivfpq.IVFPQIndex` — coarse cells + product
     quantization with ADC tables, exact rerank.
+
+Both compressed tiers rerank at their constructors' default depth of 64
+candidates; the depth is a fixed per-tier value, not a runtime choice.
 """
 
 from __future__ import annotations
@@ -44,27 +47,6 @@ INDEX_TIER_ENV = "REPRO_INDEX_TIER"
 DEFAULT_TIER = "exact"
 
 
-#: Rerank depths the router may choose between for compressed tiers.
-RERANK_CHOICES = ("32", "64", "128")
-
-#: Depth used when nothing routes one (the index constructors' default).
-DEFAULT_RERANK = 64
-
-
-def routed_rerank(tier: str) -> int:
-    """Rerank depth for ``tier``: the router's pick, else the default.
-
-    Unlike the other routed knobs this one trades recall for scan cost,
-    so :meth:`Router.decide` only admits depths whose *measured* recall
-    (recorded by the calibration CLI next to the cost) clears the
-    router's recall floor; cold start keeps the constructor default.
-    """
-    from repro.router import active_router
-
-    return int(active_router().decide(
-        "rerank", tier, RERANK_CHOICES, str(DEFAULT_RERANK)))
-
-
 def _exact(similarity: SimilarityFn) -> FeatureIndex:
     return FeatureIndex(similarity)
 
@@ -74,13 +56,11 @@ def _ivf(similarity: SimilarityFn) -> IVFIndex:
 
 
 def _hamming(similarity: SimilarityFn) -> BinaryHashIndex:
-    return BinaryHashIndex(similarity=similarity, rng=0,
-                           rerank=routed_rerank("hamming"))
+    return BinaryHashIndex(similarity=similarity, rng=0)
 
 
 def _ivfpq(similarity: SimilarityFn) -> IVFPQIndex:
-    return IVFPQIndex(similarity=similarity, rng=0,
-                      rerank=routed_rerank("ivfpq"))
+    return IVFPQIndex(similarity=similarity, rng=0)
 
 
 #: tier name → ``factory(similarity) -> Index``.  Factories are seeded

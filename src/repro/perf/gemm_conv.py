@@ -69,31 +69,20 @@ def conv_impl() -> str:
     return env_choice("REPRO_CONV_IMPL", _IMPL_CHOICES, "auto")
 
 
-def conv_size_key(gemm_elems: int) -> str:
-    """Router cost-table key: log2 bucket of the im2col element count."""
-    return f"e{max(int(gemm_elems), 1).bit_length()}"
-
-
 def should_use_gemm(gemm_elems: int) -> bool:
     """Decide the fast path for an im2col matrix of ``gemm_elems`` elements.
 
-    A forced/env impl always wins; under ``auto`` the active router may
-    override the static size threshold with a measured per-size-bucket
-    decision (cold start falls back to the threshold).  Both paths are
-    equivalence-pinned by the ``conv*.einsum_vs_gemm`` oracles, so this
-    is a pure latency choice.
+    A forced/env impl always wins; under ``auto`` convs with at least
+    :data:`GEMM_AUTO_THRESHOLD` im2col elements take GEMM and smaller
+    ones stay on einsum.  Both paths are equivalence-pinned by the
+    ``conv*.einsum_vs_gemm`` oracles, so this is a pure latency choice.
     """
     impl = conv_impl()
     if impl == "gemm":
         return True
     if impl == "einsum":
         return False
-    default = "gemm" if gemm_elems >= GEMM_AUTO_THRESHOLD else "einsum"
-    from repro.router import active_router
-
-    return active_router().decide(
-        "conv", conv_size_key(gemm_elems), ("einsum", "gemm"),
-        default) == "gemm"
+    return gemm_elems >= GEMM_AUTO_THRESHOLD
 
 
 # ---------------------------------------------------------------------- #

@@ -1041,137 +1041,3 @@ register(OraclePair(
                 "rankings, ledgers, and applied-event counts",
     guards=("REPRO_SERVING_WORKERS", "REPRO_GALLERY_CHURN"),
 ))
-
-
-# ---------------------------------------------------------------------- #
-# cost-model adaptive routing vs pinned defaults
-# ---------------------------------------------------------------------- #
-def _routing_profile(scalar: int, no_cache: int, fuse: int, no_spec: int,
-                     batch: int):
-    """A synthetic calibration profile forcing specific routed choices.
-
-    Each case flag picks the "cheap" option per domain, so across cases
-    the router is steered both toward and away from every default.  Only
-    domains whose alternatives are bit-identical under their own oracle
-    get entries — ``conv`` is deliberately absent (einsum vs GEMM is
-    allclose-equal only), so the router must leave it at the default.
-    """
-    from repro.router import CalibrationProfile, CostEntry
-
-    profile = CalibrationProfile(meta={"synthetic": True})
-
-    def prefer(domain, key, options, winner):
-        for option in options:
-            profile.record(domain, key, option,
-                           CostEntry(1e-6 if option == winner else 1e-3,
-                                     count=3))
-
-    for exponent in range(1, 7):
-        prefer("search", f"b{exponent}", ("scalar", "batched"),
-               "scalar" if scalar else "batched")
-    prefer("embed_cache", "default", ("off", "on"),
-           "off" if no_cache else "on")
-    prefer("fuse", "default", ("off", "on"), "on" if fuse else "off")
-    for attack in ("simba", "nes"):
-        prefer("speculate", attack, ("off", "on"),
-               "off" if no_spec else "on")
-    prefer("serving_batch", "default",
-           tuple(str(1 << i) for i in range(6)), str(1 << batch))
-    return profile
-
-
-def _routed_run(routed: bool, seed: int, tenants: int, per_tenant: int,
-                iters: int, scalar: int, no_cache: int, fuse: int,
-                no_spec: int, batch: int):
-    """One serving timeline + one SparseQuery attack, routed or pinned.
-
-    The contract under test: because the router only chooses among
-    oracle-pinned equivalent implementations, enabling it with *any*
-    profile is semantics-invisible — statuses, rankings, per-tenant
-    counts, ledgers, perturbation digests, and query counts match the
-    disabled-router run no matter which way each knob is steered.
-    """
-    from repro.qa.world import tiny_videos
-    from repro.router import DISABLED, Router, set_router
-
-    if routed:
-        router = Router(profile=_routing_profile(scalar, no_cache, fuse,
-                                                 no_spec, batch))
-    else:
-        router = DISABLED
-    set_router(router)
-    try:
-        # Serving leg: the default micro-batch size resolves through the
-        # router (ServingConfig is built without max_batch_size).
-        world = build_world(seed % 997, num_videos=6, cache_size=32)
-        videos = tiny_videos(seed + 3, 3, label_base=5)
-        specs = [TenantSpec(f"tenant-{i}", 150.0 + 50.0 * i, per_tenant)
-                 for i in range(tenants)]
-        timeline = generate_timeline(seed + 11, specs, videos)
-        config = ServingConfig(max_wait_s=0.003, queue_capacity=512)
-        report = ServingFrontend(world.service, config).run(timeline)
-        serving = {
-            "statuses": [response.status for response in report.responses],
-            "lists": [response.result for response in report.responses
-                      if response.ok],
-            "served_by_tenant": report.served_by_tenant,
-            "ledger": (world.service.query_count,
-                       world.service.queries_issued,
-                       world.service.queries_refunded),
-        }
-        # Attack leg: embed-cache bypass, scalar/batched search, fuse,
-        # and SimBA speculation all route per call (batched=None = auto).
-        attack_world = build_world(seed % 991, cache_size=32)
-        objective = RetrievalObjective(attack_world.service,
-                                       attack_world.original,
-                                       attack_world.target)
-        attack = SparseQuery(iter_num_q=iters, tau=30, rng=seed + 5)
-        priors = _qa_priors(attack_world.original.pixels.shape, seed + 9)
-        adversarial, trace = attack.run(attack_world.original, priors,
-                                        objective)
-        attack_leg = {
-            "perturbation_digest": array_digest(adversarial.pixels),
-            "trace": list(trace),
-            "objective_queries": objective.queries,
-            "service_queries": attack_world.service.query_count,
-        }
-    finally:
-        set_router(None)
-    return {"serving": serving, "attack": attack_leg}
-
-
-def _routed_compare(reference, fast):
-    _serving_compare(reference["serving"], fast["serving"])
-    assert reference["attack"] == fast["attack"], (
-        f"routed attack run diverged from pinned:\n"
-        f"  pinned: {reference['attack']}\n  routed: {fast['attack']}")
-
-
-register(OraclePair(
-    name="router.routed_vs_pinned",
-    reference=lambda **case: _routed_run(False, **case),
-    fast=lambda **case: _routed_run(True, **case),
-    strategy=Strategy(
-        "router",
-        lambda rng: {"seed": int(rng.integers(0, 2**31)),
-                     "tenants": int(rng.integers(1, 3)),
-                     "per_tenant": int(rng.integers(1, 4)),
-                     "iters": int(rng.integers(2, 4)),
-                     "scalar": int(rng.integers(0, 2)),
-                     "no_cache": int(rng.integers(0, 2)),
-                     "fuse": int(rng.integers(0, 2)),
-                     "no_spec": int(rng.integers(0, 2)),
-                     "batch": int(rng.integers(0, 4))},
-        {"tenants": shrink_int(1), "per_tenant": shrink_int(1),
-         "iters": shrink_int(2), "scalar": shrink_int(0),
-         "no_cache": shrink_int(0), "fuse": shrink_int(0),
-         "no_spec": shrink_int(0), "batch": shrink_int(0)},
-    ),
-    compare=_routed_compare,
-    cases=3,
-    description="cost-model routing is semantics-invisible: any profile "
-                "steering search/cache/fuse/speculation/batching yields "
-                "the exact pinned-default results",
-    guards=("REPRO_ROUTER", "REPRO_ROUTER_PROFILE", "REPRO_SERVING_BATCH",
-            "REPRO_NN_FUSE"),
-))

@@ -45,14 +45,6 @@ class ServiceConfig:
         this service; ``None`` (default) follows the global
         ``REPRO_NN_FUSE`` switch.  Replays are bit-identical to eager, so
         this is a pure latency knob.
-    router:
-        Cost-model adaptive routing (:mod:`repro.router`).  A
-        :class:`~repro.router.Router` routes this service's engine with
-        that instance; ``True`` enables routing against the default
-        calibration profile; ``False`` disables it (overriding
-        ``REPRO_ROUTER``); ``None`` (default) follows the global env
-        switch.  The router only chooses among oracle-pinned equivalent
-        implementations, so results never change.
     """
 
     m: int = 10
@@ -61,7 +53,6 @@ class ServiceConfig:
     quantize_queries: bool = False
     index_tier: str | None = None
     fuse: bool | None = None
-    router: object | None = None
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -74,15 +65,6 @@ class ServiceConfig:
             from repro.hashindex.tiers import resolve_index_tier
 
             resolve_index_tier(self.index_tier)  # raises on unknown tier
-        if self.router is not None and not isinstance(self.router, bool):
-            # Lazy import mirrors index_tier: repro.router is leaf-light
-            # but the config module must stay import-cheap.
-            from repro.router import Router
-
-            if not isinstance(self.router, Router):
-                raise TypeError(
-                    f"router must be a Router, bool, or None; "
-                    f"got {self.router!r}")
 
     def with_(self, **changes) -> "ServiceConfig":
         """A copy with ``changes`` applied (dataclasses.replace sugar)."""

@@ -46,8 +46,6 @@ class RetrievalEngine:
         self.embedding_cache = EmbeddingCache(cache_size)
         #: None = follow the global REPRO_NN_FUSE switch.
         self._fuse: bool | None = None
-        #: None = follow the global REPRO_ROUTER switch.
-        self._router = None
 
     def configure_resilience(self, resilience: ResilienceConfig | None) -> None:
         """Install (or clear) a resilience config on the gallery.
@@ -71,40 +69,6 @@ class RetrievalEngine:
         eager, so flipping this never changes retrieval results.
         """
         self._fuse = None if fuse is None else bool(fuse)
-
-    def configure_router(self, router=None) -> None:
-        """Install a cost-model router for this engine's latency choices.
-
-        Accepts a :class:`~repro.router.Router`, ``True`` (enable,
-        loading the default calibration profile if one exists), ``False``
-        (disable, overriding ``REPRO_ROUTER``), or ``None`` (follow the
-        global env switch).  Routing only ever picks among semantically
-        equivalent implementations, so this never changes results.
-        """
-        from repro.router import DISABLED, CalibrationProfile, Router
-        from repro.router.profile import default_profile_path
-
-        if router is None or isinstance(router, Router):
-            self._router = router
-        elif router is False:
-            self._router = DISABLED
-        elif router is True:
-            try:
-                profile = CalibrationProfile.load(default_profile_path())
-            except FileNotFoundError:
-                profile = None  # cold start: decisions stay at defaults
-            self._router = Router(profile=profile, enabled=True)
-        else:
-            raise TypeError(
-                f"router must be a Router, bool, or None; got {router!r}")
-
-    def _router_effective(self):
-        """The engine's router, else the process-wide active one."""
-        if self._router is not None:
-            return self._router
-        from repro.router import active_router
-
-        return active_router()
 
     def _fuse_effective(self, override: bool | None = None) -> bool:
         """Resolve the fuse switch for the next embedding batch.
@@ -149,13 +113,7 @@ class RetrievalEngine:
         if not videos:
             return np.zeros((0, self.extractor.feature_dim))
         fuse = self._fuse_effective(fuse_override)
-        if not self.embedding_cache.enabled or \
-                self._router_effective().decide(
-                    "embed_cache", "default", ("off", "on"), "on") == "off":
-            # Router bypass: for workloads that never repeat pixels the
-            # content-hash probes are pure overhead; hits are
-            # bit-identical to fresh forwards either way (the
-            # ``retrieval.cached_vs_fresh`` oracle), so this is latency.
+        if not self.embedding_cache.enabled:
             return self.extractor.embed_videos(videos, batch_size=batch_size,
                                                fuse=fuse)
         keys = [content_key(video.pixels) for video in videos]
@@ -249,58 +207,28 @@ class RetrievalEngine:
         features = self.embed_queries(videos, fuse_override=fuse_override)
         if snapshots is not None:
             return self._retrieve_batch_pinned(features, m, snapshots)
-        scalar_timer = None
         if getattr(self.gallery, "fault_plan", None) is None:
-            # Per-row results of search_batch are bit-exact against the
-            # scalar loop (the ``retrieval.batched_vs_sequential``
-            # oracle), so the router may pick either on measured cost;
-            # tiny batches on large galleries can favour the loop.
-            from repro.router import batch_size_key
-
-            router = self._router_effective()
-            key = batch_size_key(len(features))
-            choice = router.decide("search", key, ("scalar", "batched"),
-                                   "batched") if len(features) > 1 \
-                else "batched"
-            if choice == "batched":
-                timer = router.timed("search", key, "batched") \
-                    if router.enabled else None
-                try:
-                    if timer is not None:
-                        timer.__enter__()
-                    results = [
-                        RetrievalList(entries)
-                        for entries in self.gallery.search_batch(features, m)
-                    ]
-                except RetrievalUnavailable as exc:
-                    # Unavailability without a fault plan is node *state*
-                    # (downed nodes), constant across the batch: a
-                    # sequential loop would have failed on its very first
-                    # query.
-                    exc.served = []
-                    exc.served_count = 0
-                    raise
-                finally:
-                    if timer is not None:
-                        timer.__exit__()
-                return results
-            if router.enabled:
-                scalar_timer = router.timed("search", key, "scalar")
+            try:
+                return [
+                    RetrievalList(entries)
+                    for entries in self.gallery.search_batch(features, m)
+                ]
+            except RetrievalUnavailable as exc:
+                # Unavailability without a fault plan is node *state*
+                # (downed nodes), constant across the batch: a
+                # sequential loop would have failed on its very first
+                # query.
+                exc.served = []
+                exc.served_count = 0
+                raise
         results = []
-        if scalar_timer is not None:
-            scalar_timer.__enter__()
-        try:
-            for feature in features:
-                try:
-                    results.append(
-                        RetrievalList(self.gallery.search(feature, m)))
-                except RetrievalUnavailable as exc:
-                    exc.served = results
-                    exc.served_count = len(results)
-                    raise
-        finally:
-            if scalar_timer is not None:
-                scalar_timer.__exit__()
+        for feature in features:
+            try:
+                results.append(RetrievalList(self.gallery.search(feature, m)))
+            except RetrievalUnavailable as exc:
+                exc.served = results
+                exc.served_count = len(results)
+                raise
         return results
 
     def _retrieve_batch_pinned(self, features: np.ndarray, m: int,

@@ -107,8 +107,6 @@ class RetrievalService:
             engine.configure_index_tier(config.index_tier)
         if config.fuse is not None:
             engine.configure_fuse(config.fuse)
-        if config.router is not None:
-            engine.configure_router(config.router)
         return cls(engine, config=config)
 
     # Read-only views of the config fields.

@@ -1,61 +1,5 @@
-"""Cost-model adaptive routing: pick the cheapest equivalent impl per call.
+"""Stub of the retired router; see :mod:`repro.router.core`."""
 
-The repo has grown several pairs (or families) of semantically
-equivalent implementations — einsum vs GEMM convs, scalar vs batched
-search, embed-cache on/off, trace-and-fuse replay on/off, speculated vs
-sequential attack evaluation, serving batch sizes, compressed-tier
-rerank depths.  Each used to be picked by a hard-coded heuristic or a
-hand-set env flag.  The router replaces those static choices with
-*measured* ones: ``python -m repro.router.calibrate`` times every option
-on the current machine and writes a
-:class:`~repro.router.profile.CalibrationProfile`; with ``REPRO_ROUTER=1``
-(or ``ServiceConfig(router=...)``) every call site asks
-:func:`active_router` which option is cheapest for its shape bucket.
+from repro.router.core import Router, active_router
 
-Routing never changes results: every routed pair is pinned by a
-differential oracle (``router.routed_vs_pinned`` end to end, plus the
-per-pair oracles), and a cold or disabled router always returns the
-caller's historical default.
-"""
-
-from repro.router.core import (
-    DISABLED,
-    RECALL_FLOOR,
-    ROUTER_ENV,
-    Router,
-    active_router,
-    batch_size_key,
-    set_router,
-)
-from repro.router.costmodel import (
-    profile_from_registry,
-    record_cost,
-    record_recall,
-)
-from repro.router.profile import (
-    PROFILE_ENV,
-    SCHEMA_VERSION,
-    CalibrationProfile,
-    CostEntry,
-    ProfileError,
-    default_profile_path,
-)
-
-__all__ = [
-    "DISABLED",
-    "RECALL_FLOOR",
-    "ROUTER_ENV",
-    "PROFILE_ENV",
-    "SCHEMA_VERSION",
-    "Router",
-    "CalibrationProfile",
-    "CostEntry",
-    "ProfileError",
-    "active_router",
-    "batch_size_key",
-    "set_router",
-    "default_profile_path",
-    "profile_from_registry",
-    "record_cost",
-    "record_recall",
-]
+__all__ = ["Router", "active_router"]

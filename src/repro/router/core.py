@@ -1,196 +1,19 @@
-"""The adaptive router: per-call implementation choice from measured cost.
+"""Stub of the retired cost-model router; no program code calls it.
 
-:class:`Router` answers one question — *given semantically equivalent
-implementations of this operation, which is cheapest on this machine for
-this shape/load?* — using a :class:`~repro.router.profile.CalibrationProfile`
-of measured mean costs.  The call sites it serves:
-
-========================  ===========================  ==================
-domain                    options                      call site
-========================  ===========================  ==================
-``conv``                  ``einsum`` / ``gemm``        perf.gemm_conv
-``search``                ``scalar`` / ``batched``     retrieval.engine
-``embed_cache``           ``off`` / ``on``             retrieval.engine
-``fuse``                  ``off`` / ``on``             nn.jit.compiled
-``speculate``             ``off`` / ``on``             attacks.search
-``serving_batch``         ``1``..``32``                serving.config
-``rerank``                ``32`` / ``64`` / ``128``    hashindex.tiers
-========================  ===========================  ==================
-
-Decision rules, in order:
-
-1. A disabled router, or one without a profile, returns the caller's
-   default — cold start never changes behaviour.
-2. Options whose profile entry carries a *measured recall* below the
-   router's recall floor are excluded (this is how rerank depth routing
-   stays honest: speed never buys a recall regression).
-3. Among options with measurements, the lowest mean cost wins; ties
-   break deterministically by the caller's option order.
-4. If nothing measured survives, the default wins.
-
-The router only ever chooses among implementations whose equivalence is
-pinned by a registered differential oracle (see ``DESIGN.md`` §17) —
-routing is a latency decision, never a semantics decision.
+The benchmark harness still reads ``active_router().enabled`` and counts
+``Router.decide`` calls, so this stays until the harness drops both.
 """
-
-from __future__ import annotations
-
-import os
-import threading
-import time
-
-from repro.router.profile import (
-    CalibrationProfile,
-    ProfileError,
-    default_profile_path,
-)
-
-#: Environment switch enabling routing process-wide.
-ROUTER_ENV = "REPRO_ROUTER"
-
-#: Options with measured recall below this floor are never chosen.
-RECALL_FLOOR = 0.95
-
-
-def batch_size_key(n: int) -> str:
-    """Router cost-table key: log2 bucket of a batch size (``b3`` = 4–7)."""
-    return f"b{max(int(n), 1).bit_length()}"
 
 
 class Router:
-    """Cost-model decision maker over a calibration profile."""
+    enabled = False
 
-    def __init__(self, profile: CalibrationProfile | None = None,
-                 enabled: bool = True,
-                 recall_floor: float = RECALL_FLOOR) -> None:
-        self.profile = profile
-        self.enabled = bool(enabled)
-        self.recall_floor = float(recall_floor)
-
-    # -------------------------------------------------------------- #
-    # Deciding
-    # -------------------------------------------------------------- #
-    def decide(self, domain: str, key: str, options: tuple[str, ...],
-               default: str) -> str:
-        """Pick one of ``options`` for ``(domain, key)``; see module doc."""
-        profile = self.profile
-        if not self.enabled or profile is None:
-            return default
-        cell = profile.cell(domain, key)
-        if not cell:
-            choice = default
-        else:
-            best: str | None = None
-            best_cost = float("inf")
-            for option in options:
-                entry = cell.get(option)
-                if entry is None:
-                    continue
-                if (entry.recall is not None
-                        and entry.recall < self.recall_floor):
-                    continue
-                if entry.mean_s < best_cost:
-                    best = option
-                    best_cost = entry.mean_s
-            choice = default if best is None else best
-        from repro.obs import counter
-
-        counter("router.decisions", domain=domain, choice=choice).inc()
-        return choice
-
-    # -------------------------------------------------------------- #
-    # Observing (online cost measurement)
-    # -------------------------------------------------------------- #
-    def observe(self, domain: str, key: str, option: str,
-                seconds: float) -> None:
-        """Record one measured cost sample into the obs registry."""
-        from repro.router.costmodel import record_cost
-
-        record_cost(domain, key, option, seconds)
-
-    def timed(self, domain: str, key: str, option: str) -> "_Timed":
-        """Context manager: times the body and records it via observe."""
-        return _Timed(self, domain, key, option)
+    def decide(self, domain, key, options, default):
+        return default
 
 
-class _Timed:
-    __slots__ = ("_router", "_labels", "_start")
-
-    def __init__(self, router: Router, domain: str, key: str,
-                 option: str) -> None:
-        self._router = router
-        self._labels = (domain, key, option)
-        self._start = 0.0
-
-    def __enter__(self) -> "_Timed":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self._router.observe(*self._labels,
-                             time.perf_counter() - self._start)
-
-
-#: A shared always-default router, returned whenever routing is off.
-DISABLED = Router(profile=None, enabled=False)
-
-_LOCK = threading.Lock()
-_OVERRIDE: Router | None = None
-#: ``(raw REPRO_ROUTER, raw REPRO_ROUTER_PROFILE) → Router`` cache so the
-#: hot path pays two env reads + a dict probe, not a JSON load per call.
-_CACHE: dict[tuple[str | None, str | None], Router] = {}
-
-
-def set_router(router: Router | None) -> None:
-    """Install a programmatic router (``None`` reverts to the env)."""
-    global _OVERRIDE
-    with _LOCK:
-        _OVERRIDE = router
-        _CACHE.clear()
+_ROUTER = Router()
 
 
 def active_router() -> Router:
-    """The process-wide router: override > env-configured > disabled.
-
-    With ``REPRO_ROUTER`` truthy the profile at
-    :func:`~repro.router.profile.default_profile_path` is loaded once and
-    cached against the *raw* env values, so flipping either variable at
-    runtime takes effect on the next call.  A missing profile file is a
-    normal cold start (routing enabled, every decision the default); a
-    corrupt or wrong-schema profile raises loudly.
-    """
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    environ = os.environ
-    cache_key = (environ.get(ROUTER_ENV), environ.get("REPRO_ROUTER_PROFILE"))
-    router = _CACHE.get(cache_key)
-    if router is not None:
-        return router
-    from repro.utils.envflags import env_bool
-    with _LOCK:
-        router = _CACHE.get(cache_key)
-        if router is not None:
-            return router
-        if not env_bool(ROUTER_ENV, False):
-            router = DISABLED
-        else:
-            try:
-                profile = CalibrationProfile.load(default_profile_path())
-            except FileNotFoundError:
-                profile = None  # cold start: route everything to defaults
-            except ProfileError:
-                raise
-            router = Router(profile=profile, enabled=True)
-        _CACHE[cache_key] = router
-        return router
-
-
-__all__ = [
-    "ROUTER_ENV",
-    "RECALL_FLOOR",
-    "batch_size_key",
-    "Router",
-    "DISABLED",
-    "active_router",
-    "set_router",
-]
+    return _ROUTER

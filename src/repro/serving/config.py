@@ -19,36 +19,19 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping
 
-from repro.utils.envflags import env_bool, env_int, env_set
+from repro.utils.envflags import env_bool, env_int
 
 #: Priority classes, best first.  Interactive requests are dispatched
 #: before bulk ones queued at the same time, and bulk is shed first.
 PRIORITIES = ("interactive", "bulk")
 
-#: Sentinel meaning "take the env/default batch size".
-_ENV_BATCH = -1
-
-#: Sentinel meaning "take the env/default worker count".
-_ENV_WORKERS = -1
-
-#: Sentinel meaning "take the env/default churn switch".
-_ENV_CHURN = -1
-
 
 def default_batch_size() -> int:
-    """``REPRO_SERVING_BATCH`` when set, else routed/8.
+    """``REPRO_SERVING_BATCH`` when set, else 8.
 
-    Unset (or empty) falls back to the active router's micro-batch
-    decision — 8 unless a calibration profile says otherwise
-    (see :mod:`repro.router`).  Invalid or ``< 1`` values raise.
+    Invalid or ``< 1`` values raise.
     """
-    if env_set("REPRO_SERVING_BATCH"):
-        return env_int("REPRO_SERVING_BATCH", 8, minimum=1)
-    from repro.router import active_router
-
-    return int(active_router().decide(
-        "serving_batch", "default",
-        ("1", "2", "4", "8", "16", "32"), "8"))
+    return env_int("REPRO_SERVING_BATCH", 8, minimum=1)
 
 
 def default_workers() -> int:
@@ -115,8 +98,8 @@ class ServingConfig:
     max_batch_size:
         Upper bound on queries coalesced into one
         ``engine.retrieve_batch`` dispatch.  ``1`` degenerates to a
-        sequential front end (the oracle reference).  Defaults to
-        ``REPRO_SERVING_BATCH`` (else 8).
+        sequential front end (the oracle reference).  ``None`` (the
+        default) takes ``REPRO_SERVING_BATCH``, else 8.
     max_wait_s:
         Micro-batch deadline: a queued request is dispatched no later
         than this many virtual seconds after it was enqueued, even if
@@ -136,15 +119,17 @@ class ServingConfig:
         of eight.
     workers:
         Worker-pool size for dispatched batches, each worker with its
-        own virtual clock.  ``1`` (the default) runs compute inline on
-        the loop thread; ``> 1`` runs it on a thread pool leaning on
-        the GIL-releasing BLAS kernels.  Both run the same scheduler.  Defaults to
-        ``REPRO_SERVING_WORKERS`` (else 1).  Semantics-invisible — see
-        the ``serving.pooled_vs_single`` oracle.
+        own virtual clock.  ``1`` runs compute inline on the loop
+        thread; ``> 1`` runs it on a thread pool leaning on the
+        GIL-releasing BLAS kernels.  Both run the same scheduler.
+        ``None`` (the default) takes ``REPRO_SERVING_WORKERS``, else 1.
+        Semantics-invisible — see the ``serving.pooled_vs_single``
+        oracle.
     churn:
         Force gallery-snapshot pinning per admitted request even for
         pure-query timelines (mutating timelines enable it on their
-        own).  Defaults to ``REPRO_GALLERY_CHURN`` (else off).
+        own).  ``None`` (the default) takes ``REPRO_GALLERY_CHURN``,
+        else off.
     compact_dead_fraction / compact_min_dead:
         Background compaction policy for mutating timelines: a shard is
         rebuilt once its tombstones pass both thresholds.
@@ -154,27 +139,28 @@ class ServingConfig:
         Policy for tenants without an explicit entry.
     """
 
-    max_batch_size: int = _ENV_BATCH
+    max_batch_size: int | None = None
     max_wait_s: float = 0.002
     queue_capacity: int = 64
     shed_policy: str = "shed-bulk"
     service_base_s: float = 0.004
     service_per_item_s: float = 0.001
-    workers: int = _ENV_WORKERS
-    churn: bool | int = _ENV_CHURN
+    workers: int | None = None
+    churn: bool | None = None
     compact_dead_fraction: float = 0.25
     compact_min_dead: int = 4
     tenants: Mapping[str, TenantPolicy] = field(default_factory=dict)
     default_tenant: TenantPolicy = field(default_factory=TenantPolicy)
 
     def __post_init__(self) -> None:
-        if self.max_batch_size == _ENV_BATCH:
+        if self.max_batch_size is None:
             object.__setattr__(self, "max_batch_size", default_batch_size())
-        if self.workers == _ENV_WORKERS:
+        if self.workers is None:
             object.__setattr__(self, "workers", default_workers())
-        if self.churn == _ENV_CHURN:
+        if self.churn is None:
             object.__setattr__(self, "churn", default_churn())
-        object.__setattr__(self, "churn", bool(self.churn))
+        if not isinstance(self.churn, bool):
+            raise ValueError(f"churn must be a bool; got {self.churn!r}")
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if self.workers < 1:

@@ -130,6 +130,36 @@ class TestSimbaEquivalence:
         np.testing.assert_array_equal(bat[0], seq[0])
         assert bat[1:] == seq[1:]
 
+    def test_auto_mode_speculates_only_on_a_safe_service(
+            self, cacheless_engine, attack_pair):
+        original, target = attack_pair
+        support = np.zeros(original.pixels.shape, dtype=bool)
+        support[:2] = True
+        for instrumented in (False, True):
+            service = fresh_service(cacheless_engine)
+            if instrumented:
+                # An instance-level ``query`` override (a detector or a
+                # spy) makes the service unsafe to speculate against.
+                service.query = service.query
+            objective = RetrievalObjective(service, original, target)
+            assert objective.speculation_safe is not instrumented
+            speculated = []
+            speculate = objective.speculate
+
+            def spy(candidates, speculate=speculate, speculated=speculated):
+                speculated.append(len(candidates))
+                return speculate(candidates)
+
+            objective.speculate = spy
+            simba_search(original, objective, support, tau=0.1,
+                         iterations=6,
+                         rng=np.random.default_rng(7))  # batched=None
+            assert objective.queries == service.query_count
+            if instrumented:
+                assert speculated == []   # the sequential loop
+            else:
+                assert speculated and set(speculated) == {2}
+
 
 class TestNesEquivalence:
     def test_trace_identical(self, cacheless_engine, attack_pair):
@@ -150,6 +180,29 @@ class TestNesEquivalence:
         seq, bat = runs[False], runs[True]
         np.testing.assert_array_equal(bat[0], seq[0])
         assert bat[1:] == seq[1:]
+
+    def test_auto_mode_batches_only_when_values_exists(
+            self, cacheless_engine, attack_pair):
+        original, target = attack_pair
+        support = np.zeros(original.pixels.shape, dtype=bool)
+        support[:2] = True
+        for has_values in (True, False):
+            service = fresh_service(cacheless_engine)
+            objective = RetrievalObjective(service, original, target)
+            batches = []
+            values = objective.values
+
+            def spy(candidates, values=values, batches=batches):
+                batches.append(len(candidates))
+                return values(candidates)
+
+            # ``values = None`` stands in for an objective without a
+            # batch entry point.
+            objective.values = spy if has_values else None
+            nes_search(original, objective, support, tau=0.06, iterations=2,
+                       samples=2, rng=np.random.default_rng(11))
+            assert batches == ([4, 4] if has_values else [])
+            assert objective.queries == service.query_count
 
 
 class TestObjectiveValues:

@@ -34,6 +34,10 @@ class TestRegistry:
                           BinaryHashIndex)
         assert isinstance(resolve_index_tier("ivfpq")(negative_l2),
                           IVFPQIndex)
+        # The shipped rerank depth is a fixed per-tier value; changing it
+        # (for the recall floor) must show up here.
+        assert INDEX_TIERS["hamming"](negative_l2).rerank == 64
+        assert INDEX_TIERS["ivfpq"](negative_l2).rerank == 64
 
     def test_unknown_tier_raises(self):
         with pytest.raises(KeyError):

@@ -146,5 +146,9 @@ class TestFallbacks:
         assert ServingConfig().workers == 4
 
     def test_workers_validation(self):
-        with pytest.raises(ValueError):
-            ServingConfig(workers=0)
+        # -1 is no sentinel: it must raise like any other invalid value.
+        for bad in ({"workers": 0}, {"workers": -1},
+                    {"max_batch_size": 0}, {"max_batch_size": -1},
+                    {"churn": -1}):
+            with pytest.raises(ValueError, match="must be"):
+                ServingConfig(**bad)

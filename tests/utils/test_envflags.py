@@ -205,25 +205,3 @@ class TestAttackStrategy:
         monkeypatch.setenv("REPRO_ATTACK", "nope")
         with pytest.raises(KeyError, match="nope"):
             resolve_strategy()
-
-
-class TestRouterFlags:
-    def test_router_env_is_boolean(self, monkeypatch):
-        from repro.router import active_router, set_router
-
-        set_router(None)
-        monkeypatch.setenv("REPRO_ROUTER", "garbage")
-        with pytest.raises(ValueError, match="REPRO_ROUTER"):
-            active_router()
-        monkeypatch.delenv("REPRO_ROUTER")
-        assert active_router().enabled is False
-
-    def test_profile_path_env(self, monkeypatch, tmp_path):
-        from repro.router import default_profile_path
-        from repro.router.profile import DEFAULT_PROFILE_PATH
-
-        monkeypatch.delenv("REPRO_ROUTER_PROFILE", raising=False)
-        assert str(default_profile_path()) == DEFAULT_PROFILE_PATH
-        monkeypatch.setenv("REPRO_ROUTER_PROFILE",
-                           str(tmp_path / "p.json"))
-        assert default_profile_path() == tmp_path / "p.json"
