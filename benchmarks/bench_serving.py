@@ -25,6 +25,11 @@ With ``--churn`` two scale-out measurements join the set:
    add/delete/re-embed events) through the pooled front end vs the
    sequential reference replay: statuses, tenant counts, the query
    ledger, and applied-event counts must match exactly.
+6. **churn read** — the same kind of timeline over a larger gallery,
+   timed with the filter-all snapshot read from ``repro.qa.reference``
+   against the shipped read that builds entries only for returned rows;
+   reports must be identical and the median per-pair speedup at least
+   1.1x.
 
 Usage::
 
@@ -41,14 +46,19 @@ writes the JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.qa.reference import filter_all_snapshot_reads  # noqa: E402
 from repro.qa.world import build_world, tiny_videos  # noqa: E402
 from repro.serving import (  # noqa: E402
     ServingConfig,
@@ -250,6 +260,79 @@ def bench_churn(per_tenant: int, seed: int = 29) -> dict:
     }
 
 
+#: Gallery rows and requests per tenant in the churn-read measurement
+#: (enough shard reads that they, not the model forward, set the pace).
+CHURN_READ_ROWS = 1024
+CHURN_READ_PER_TENANT = 100
+
+#: Required median speedup of the shipped snapshot read over the
+#: filter-all reference on the churn-read timeline.
+MIN_CHURN_READ_SPEEDUP = 1.1
+
+
+def bench_churn_read(pairs: int, rows: int = CHURN_READ_ROWS,
+                     per_tenant: int = CHURN_READ_PER_TENANT,
+                     seed: int = 31) -> dict:
+    """Wall-clock: the filter-all snapshot read vs the shipped lazy read.
+
+    One seeded query + add/delete/re-embed timeline runs against a
+    fresh ``rows``-video world per side: once with every snapshot-pinned
+    shard read routed through :func:`repro.qa.reference.
+    filter_all_snapshot_reads` (build an entry for every over-fetched
+    row, then drop tombstones), once on the shipped read (entries only
+    for kept rows).  A fifth of the gallery is deleted along the way,
+    below the 25 % compaction threshold, so tombstones pile up in the
+    shards; queries draw from a pool the embed cache holds, so shard
+    reads rather than model forwards set the pace.  The sides run
+    as interleaved pairs; the speedup is the median per-pair ratio, and
+    both sides must produce identical reports.
+    """
+    config = BASE_CONFIG.with_(queue_capacity=4096)
+
+    def run(reference: bool):
+        world = build_world(41, num_videos=rows, cache_size=64)
+        specs = [TenantSpec(f"tenant-{i}", CAPACITY_QPS / 3.0, per_tenant)
+                 for i in range(3)]
+        requests = generate_timeline(seed, specs, world.gallery_videos[:16])
+        horizon = max(request.arrival_s for request in requests)
+        events = generate_churn(
+            seed, [video.video_id for video in world.gallery_videos],
+            adds=8, deletes=rows // 5, reembeds=8, horizon_s=horizon)
+        frontend = ServingFrontend(world.service, config)
+        reads = filter_all_snapshot_reads() if reference \
+            else contextlib.nullcontext()
+        gc.collect()  # the previous side's world must not be swept mid-run
+        with reads:
+            start = time.perf_counter()
+            report = frontend.run(list(requests) + list(events))
+            elapsed = time.perf_counter() - start
+        return elapsed, (
+            [(r.status, None if r.result is None else
+              [(e.video_id, e.label, e.score) for e in r.result])
+             for r in report.responses],
+            report.gallery_events,
+            (world.service.query_count, world.service.queries_issued,
+             world.service.queries_refunded))
+
+    reference_s, shipped_s, identical = [], [], True
+    for _ in range(pairs):
+        elapsed, reference = run(reference=True)
+        reference_s.append(elapsed)
+        elapsed, shipped = run(reference=False)
+        shipped_s.append(elapsed)
+        identical = identical and reference == shipped
+    return {
+        "gallery_rows": rows,
+        "requests": 3 * per_tenant,
+        "events": 16 + rows // 5,
+        "pairs": pairs,
+        "filter_all_wall_s": float(np.median(reference_s)),
+        "lazy_wall_s": float(np.median(shipped_s)),
+        "speedup": float(np.median(np.divide(reference_s, shipped_s))),
+        "identical_reports": identical,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Benchmark the serving front end.")
@@ -297,6 +380,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.churn:
         result["worker_scaling"] = bench_worker_scaling(per_tenant)
         result["churn"] = bench_churn(max(4, per_tenant // 2))
+        result["churn_read"] = bench_churn_read(
+            pairs=5 if args.smoke else 9)
     print(json.dumps(result, indent=2))
 
     failures = []
@@ -331,6 +416,14 @@ def main(argv: list[str] | None = None) -> int:
                 failures.append(
                     f"mutating timeline diverged between the pooled "
                     f"front end and the sequential reference ({key})")
+        churn_read = result["churn_read"]
+        if not churn_read["identical_reports"]:
+            failures.append("the shipped snapshot read and the filter-all "
+                            "reference served different reports")
+        if churn_read["speedup"] < MIN_CHURN_READ_SPEEDUP:
+            failures.append(
+                f"snapshot read speedup {churn_read['speedup']:.2f}x over "
+                f"filter-all is under the {MIN_CHURN_READ_SPEEDUP:.1f}x gate")
 
     for failure in failures:
         print(f"[bench_serving] FAIL: {failure}")

@@ -10,11 +10,13 @@
 #   6. the serving front-end suite + its smoke bench (gates the 1.5x
 #      batched-throughput floor and timeline determinism), the
 #      slow/churn-marked gallery stress tests, and the worker-pool +
-#      churn smoke bench (gates the 1.5x pooled virtual speedup and
-#      sequential-vs-pooled mutating-timeline equality),
+#      churn smoke bench (gates the 1.5x pooled virtual speedup,
+#      sequential-vs-pooled mutating-timeline equality, and the 1.1x
+#      snapshot-read speedup over the filter-all reference),
 #   7. the compressed index tier suite + the ANN smoke bench (gates
 #      recall@10 >= 0.9 and the memmap residency ceiling),
-#   8. the trace-and-fuse smoke bench (gates the 1.3x replay floor) and
+#   8. the trace-and-fuse smoke bench (gates the 1.3x replay floor and
+#      the median eager/fused SparseQuery pair ratio vs BENCH_jit.json) and
 #      a second golden-trace pass with REPRO_NN_FUSE=1 (replay must be
 #      byte-identical to the eager goldens),
 #   9. the env-flag conformance suite,

@@ -9,6 +9,8 @@ with every reference/fast equivalence contract the library claims:
   for conv input gradients and the ``max_pool3d`` backward;
 * ``search`` vs ``search_batch`` on :class:`FeatureIndex`,
   :class:`IVFIndex`, and :class:`ShardedGallery`;
+* snapshot-pinned gallery reads vs the build-everything-then-filter read
+  they replaced, byte for byte;
 * cached vs uncached query embeddings (``REPRO_EMBED_CACHE``);
 * replicated (r = 2, 3) vs single-shard retrieval;
 * sequential vs speculative/batched SparseQuery steps;
@@ -46,7 +48,11 @@ from repro.qa.generators import (
     shrink_int,
 )
 from repro.qa.oracle import OraclePair, register
-from repro.qa.reference import max_pool3d_grad_loop, offset_loop_col2im
+from repro.qa.reference import (
+    filter_all_snapshot_reads,
+    max_pool3d_grad_loop,
+    offset_loop_col2im,
+)
 from repro.qa.world import build_world, tiny_extractor
 from repro.resilience.config import ResilienceConfig
 from repro.retrieval.ann import IVFIndex
@@ -376,6 +382,92 @@ register(OraclePair(
     compare=assert_retrieval_lists_equal,
     cases=6,
     description="ShardedGallery scatter/gather batch vs sequential search",
+))
+
+
+# ---------------------------------------------------------------------- #
+# snapshot reads: lazy filtering vs build-everything-then-filter
+# ---------------------------------------------------------------------- #
+def _snapshot_reads(filter_all: bool, seed, rows, dim, num_nodes, dead,
+                    reembeds, appended, ties, batch, k, tier):
+    """``search`` and ``search_batch`` pinned to one churned snapshot.
+
+    The gallery carries ``dead`` tombstones (``reembeds`` of them
+    re-embedded onto a neighbour's feature, so aliased rows tie with
+    live ones), ``ties`` duplicated feature rows, and ``appended`` rows
+    added after the snapshot, past its watermarks, plus one delete the
+    snapshot must not see.
+    """
+    dead = min(dead, rows // 4)
+    reembeds = min(reembeds, dead)
+    ties = min(ties, rows // 4)
+    rng = np.random.default_rng(seed)
+    ids, labels, features = draw_gallery(rng, rows, dim)
+    features[rows - ties:] = features[:ties]
+    gallery = ShardedGallery(num_nodes=num_nodes)
+    gallery.set_index_tier(tier)
+    gallery.add_batch(ids, labels, features)
+    gallery.enable_churn()
+    victims = rng.permutation(rows)[:dead]
+    for row in victims[:dead - reembeds]:
+        gallery.delete(ids[row])
+    for row in victims[dead - reembeds:]:
+        gallery.reembed(ids[row], labels[row], features[(row + 1) % rows])
+    snap = gallery.snapshot()
+    for row in range(appended):
+        gallery.add(f"late{row}", 0, features[row % rows])
+    gallery.delete(gallery.live_ids()[0])
+    queries = features[rng.integers(0, rows, size=batch)]
+    queries[1::2] += 0.1 * rng.normal(size=queries[1::2].shape)
+    reads = filter_all_snapshot_reads() if filter_all \
+        else contextlib.nullcontext()
+    with reads:
+        return {
+            "search": [gallery.search(query, k, snapshot=snap)
+                       for query in queries],
+            "search_batch": gallery.search_batch(queries, k, snapshot=snap),
+        }
+
+
+def _snapshot_strategy(rng: np.random.Generator) -> dict:
+    rows = int(rng.integers(8, 160))
+    dead = int(rng.integers(0, rows // 4 + 1))
+    return {
+        "seed": int(rng.integers(0, 2**31)),
+        "rows": rows,
+        "dim": int(rng.integers(1, 10)),
+        "num_nodes": int(rng.integers(1, 5)),
+        "dead": dead,
+        "reembeds": int(rng.integers(0, dead + 1)),
+        "appended": int(rng.integers(0, 12)),
+        "ties": int(rng.integers(0, rows // 4 + 1)),
+        "batch": int(rng.integers(1, 8)),
+        "k": int(rng.integers(1, 12)),
+        "tier": str(rng.choice(("exact", "exact", "exact", "hamming"))),
+    }
+
+
+def _snapshot_compare(reference, fast):
+    for key in ("search", "search_batch"):
+        assert_retrieval_lists_equal(reference[key], fast[key], key)
+
+
+register(OraclePair(
+    name="gallery.snapshot_read_vs_filter_all",
+    reference=lambda **case: _snapshot_reads(True, **case),
+    fast=lambda **case: _snapshot_reads(False, **case),
+    strategy=Strategy(
+        "snapshot_reads", _snapshot_strategy,
+        {"rows": shrink_int(8), "dim": shrink_int(1),
+         "num_nodes": shrink_int(1), "dead": shrink_int(0),
+         "reembeds": shrink_int(0), "appended": shrink_int(0),
+         "ties": shrink_int(0), "batch": shrink_int(1),
+         "k": shrink_int(1)}),
+    compare=_snapshot_compare,
+    cases=8,
+    description="snapshot reads that build entries only for kept rows "
+                "match building every over-fetched row, then filtering "
+                "(bit-exact, search and search_batch)",
 ))
 
 

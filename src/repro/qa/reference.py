@@ -1,9 +1,10 @@
 """Reference implementations the shipped fast paths are checked against.
 
-Each function here is the plain loop a production kernel replaced.  They
+Each function here is the plain loop a production path replaced.  They
 stay only as the reference side of a differential pair
 (:mod:`repro.qa.pairs`) and as the "before" leg of
-``benchmarks/bench_perf_hotpath.py``; nothing in the library calls them.
+``benchmarks/bench_perf_hotpath.py`` and ``benchmarks/bench_serving.py``;
+nothing in the library calls them.
 
 * :func:`col2im_offset_loop` — one strided ``+=`` per kernel offset, the
   scatter :func:`repro.perf.gemm_conv.col2im` does with one
@@ -14,6 +15,12 @@ stay only as the reference side of a differential pair
 * :func:`offset_loop_col2im` — swaps :func:`col2im_offset_loop` in for
   the shipped ``col2im`` while active, so a whole forward/backward (conv
   input gradients and the ``max_pool3d`` scatter) runs on the loop.
+* :func:`filter_all_snapshot_search` / :func:`filter_all_snapshot_search_batch`
+  — the snapshot-pinned shard read that builds a result entry for every
+  over-fetched row and then drops the ones the snapshot cannot see; the
+  shipped read walks the ranking and builds entries only for rows it
+  keeps.  :func:`filter_all_snapshot_reads` swaps them in for the
+  shipped read on every :class:`ShardedGallery` while active.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ import contextlib
 import numpy as np
 
 from repro.perf import gemm_conv
+from repro.retrieval.lists import RetrievalEntry
+from repro.retrieval.nodes import ShardedGallery
 
 
 def _slab(offset, out_spatial, stride) -> tuple[slice, ...]:
@@ -71,4 +80,61 @@ def offset_loop_col2im():
         gemm_conv.col2im = shipped
 
 
-__all__ = ["col2im_offset_loop", "max_pool3d_grad_loop", "offset_loop_col2im"]
+def _filter_all(entries, snap, k: int) -> list[RetrievalEntry]:
+    """Every entry visible at ``snap`` under its public id, then the head."""
+    kept = [RetrievalEntry(snap.public_id(entry.video_id), entry.label,
+                           entry.score)
+            for entry in entries if snap.visible(entry.video_id)]
+    return kept[:k]
+
+
+def _over_fetch(snap, position: int, k: int) -> tuple:
+    """``(index, rows to fetch, watermark)`` for one shard of ``snap``."""
+    index = snap.indexes[position]
+    watermark = snap.watermarks[position]
+    fetch = int(k) + snap.node_dead[position]
+    if not hasattr(index, "search_limited"):
+        fetch += max(0, len(index) - watermark)
+    return index, fetch, watermark
+
+
+def filter_all_snapshot_search(gallery, snap, position: int, query, k: int
+                               ) -> list[RetrievalEntry]:
+    """Reference ``ShardedGallery._snapshot_search_one``."""
+    if position >= len(snap.indexes):
+        return []
+    index, fetch, watermark = _over_fetch(snap, position, k)
+    entries = index.search_limited(query, fetch, watermark) \
+        if hasattr(index, "search_limited") else index.search(query, fetch)
+    return _filter_all(entries, snap, int(k))
+
+
+def filter_all_snapshot_search_batch(gallery, snap, position: int, queries,
+                                     k: int) -> list[list[RetrievalEntry]]:
+    """Reference ``ShardedGallery._snapshot_search_batch``."""
+    if position >= len(snap.indexes):
+        return [[] for _ in range(len(queries))]
+    index, fetch, watermark = _over_fetch(snap, position, k)
+    lists = index.search_batch_limited(queries, fetch, watermark) \
+        if hasattr(index, "search_batch_limited") \
+        else index.search_batch(queries, fetch)
+    return [_filter_all(entries, snap, int(k)) for entries in lists]
+
+
+@contextlib.contextmanager
+def filter_all_snapshot_reads():
+    """Run every snapshot-pinned shard read through the filter-all reference."""
+    shipped = (ShardedGallery._snapshot_search_one,
+               ShardedGallery._snapshot_search_batch)
+    ShardedGallery._snapshot_search_one = filter_all_snapshot_search
+    ShardedGallery._snapshot_search_batch = filter_all_snapshot_search_batch
+    try:
+        yield
+    finally:
+        (ShardedGallery._snapshot_search_one,
+         ShardedGallery._snapshot_search_batch) = shipped
+
+
+__all__ = ["col2im_offset_loop", "filter_all_snapshot_reads",
+           "filter_all_snapshot_search", "filter_all_snapshot_search_batch",
+           "max_pool3d_grad_loop", "offset_loop_col2im"]

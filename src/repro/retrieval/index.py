@@ -18,10 +18,10 @@ class FeatureIndex:
     ``argpartition`` for the whole batch.
 
     The index is append-only and safe for concurrent readers: ids and
-    labels are appended *before* their feature row, the matrix cache is
-    grow-only (readers validate its length against the rows they need
-    and rebuild when stale), and :meth:`search_limited` /
-    :meth:`search_batch_limited` score only the first ``rows`` rows so a
+    labels are appended *before* their feature row, the matrix is
+    grow-only (a reader that needs rows the buffer does not hold yet
+    copies just those rows in, see :meth:`_feature_matrix`), and the
+    ``*_limited`` methods score only the first ``rows`` rows so a
     snapshot reader never observes rows appended after its watermark.
     """
 
@@ -30,7 +30,8 @@ class FeatureIndex:
         self._features: list[np.ndarray] = []
         self._ids: list[str] = []
         self._labels: list[int] = []
-        self._matrix: np.ndarray | None = None
+        #: ``(buffer, filled)``; see :meth:`_feature_matrix`.
+        self._matrix: tuple[np.ndarray, int] | None = None
 
     def __len__(self) -> int:
         return len(self._features)
@@ -72,32 +73,77 @@ class FeatureIndex:
     def _feature_matrix(self, rows: int | None = None) -> np.ndarray:
         """The first ``rows`` gallery rows as an ``(rows, d)`` matrix.
 
-        The cache is grow-only: a cached matrix shorter than ``rows`` is
-        rebuilt, a longer one (rows appended by a writer after the
-        caller fixed its watermark) is sliced.  Callers must guard
-        ``rows == 0``.
+        The matrix lives in a capacity-doubling buffer published as one
+        ``(buffer, filled)`` pair.  A reader that needs more than
+        ``filled`` rows copies only the rows appended since into spare
+        capacity (reallocating at double the size when it runs out) and
+        publishes the new pair; every reader gets a ``buffer[:rows]``
+        view.  Rows are only ever written with their own (immutable)
+        feature, so two readers extending one buffer at once write
+        identical bytes, and a view never changes under its reader.
+        Callers must guard ``rows == 0``.
         """
-        needed = len(self._features) if rows is None else int(rows)
+        needed = len(self._features) if rows is None \
+            else min(int(rows), len(self._features))
         if needed <= 0:
             # An empty index has no feature dimension to expose; searching
             # it must short-circuit rather than score a bogus (0, 0) array.
             raise RuntimeError("feature matrix requested from an empty index")
-        matrix = self._matrix
-        if matrix is None or matrix.shape[0] < needed:
-            matrix = np.stack(list(self._features))
-            self._matrix = matrix
-        if matrix.shape[0] == needed:
-            return matrix
-        return matrix[:needed]
+        state = self._matrix
+        if state is None or state[1] < needed:
+            buffer, filled = state if state is not None else (None, 0)
+            total = len(self._features)
+            if buffer is None or buffer.shape[0] < total:
+                capacity = total if buffer is None \
+                    else max(total, 2 * buffer.shape[0])
+                grown = np.empty((capacity,) + self._features[0].shape)
+                if buffer is not None:
+                    grown[:filled] = buffer[:filled]
+                buffer = grown
+            buffer[filled:total] = self._features[filled:total]
+            state = (buffer, total)
+            self._matrix = state
+        return state[0][:needed]
 
-    def _top_k(self, scores: np.ndarray, k: int) -> list[RetrievalEntry]:
-        """Exact-sorted head of one score row (argpartition + short sort)."""
-        head = np.argpartition(-scores, k - 1)[:k]
-        order = head[np.argsort(-scores[head], kind="stable")]
-        return [
-            RetrievalEntry(self._ids[i], self._labels[i], float(scores[i]))
-            for i in order
-        ]
+    def rank_limited(self, query: np.ndarray, k: int, rows: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Scores of the first ``rows`` rows and the positions of the ``k`` best.
+
+        The positions are best first.  This is the ranking behind
+        :meth:`search_limited`; a caller that keeps only some of the rows
+        (a snapshot reader skipping tombstones) walks :meth:`candidates`
+        and builds entries for the rows it keeps.
+        """
+        rows = min(int(rows), len(self._features))
+        if rows <= 0:
+            return np.empty(0), np.empty(0, dtype=np.intp)
+        query = np.asarray(query, dtype=np.float64).reshape(-1)
+        scores = self.similarity(query, self._feature_matrix(rows))
+        return scores, _rank(scores[None], min(int(k), len(scores)))[0]
+
+    def rank_batch_limited(self, queries: np.ndarray, k: int, rows: int
+                           ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """:meth:`rank_limited` for each row of a ``(B, d)`` query matrix.
+
+        Returns the ``(B, rows)`` score matrix and one position array
+        per query.
+        """
+        queries = np.asarray(queries, dtype=np.float64)
+        queries = queries.reshape(queries.shape[0], -1) if queries.ndim > 1 \
+            else queries.reshape(1, -1)
+        rows = min(int(rows), len(self._features))
+        if rows <= 0:
+            batch = queries.shape[0]
+            return np.empty((batch, 0)), [np.empty(0, dtype=np.intp)] * batch
+        scores = batched_similarity(self.similarity)(
+            queries, self._feature_matrix(rows))
+        return scores, _rank(scores, min(int(k), scores.shape[1]))
+
+    def candidates(self, scores: np.ndarray, order: np.ndarray):
+        """Lazy ``(rowid, label, score)`` triples for one query, in ``order``."""
+        ids, labels = self._ids, self._labels
+        return ((ids[i], labels[i], score)
+                for i, score in zip(order.tolist(), scores[order].tolist()))
 
     def search(self, query: np.ndarray, k: int) -> list[RetrievalEntry]:
         """Return the ``k`` most similar entries, best first.
@@ -113,12 +159,8 @@ class FeatureIndex:
         Snapshot readers pass their per-node watermark so rows appended
         after the snapshot was taken are never scored.
         """
-        rows = min(int(rows), len(self._features))
-        if rows <= 0:
-            return []
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        scores = self.similarity(query, self._feature_matrix(rows))
-        return self._top_k(scores, min(int(k), len(scores)))
+        return [RetrievalEntry(*candidate) for candidate in
+                self.candidates(*self.rank_limited(query, k, rows))]
 
     def search_batch(self, queries: np.ndarray, k: int
                      ) -> list[list[RetrievalEntry]]:
@@ -133,25 +175,23 @@ class FeatureIndex:
     def search_batch_limited(self, queries: np.ndarray, k: int,
                              rows: int) -> list[list[RetrievalEntry]]:
         """:meth:`search_batch` restricted to the first ``rows`` rows."""
-        queries = np.asarray(queries, dtype=np.float64)
-        queries = queries.reshape(queries.shape[0], -1) if queries.ndim > 1 \
-            else queries.reshape(1, -1)
-        rows = min(int(rows), len(self._features))
-        if rows <= 0:
-            return [[] for _ in range(queries.shape[0])]
-        scores = batched_similarity(self.similarity)(
-            queries, self._feature_matrix(rows))
-        k = min(int(k), scores.shape[1])
-        heads = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-        results = []
-        for row, head in zip(scores, heads):
-            order = head[np.argsort(-row[head], kind="stable")]
-            results.append([
-                RetrievalEntry(self._ids[i], self._labels[i], float(row[i]))
-                for i in order
-            ])
-        return results
+        return [[RetrievalEntry(*candidate) for candidate in
+                 self.candidates(scores, order)]
+                for scores, order in zip(*self.rank_batch_limited(
+                    queries, k, rows))]
 
     def labels_of(self) -> list[int]:
         """All stored labels (gallery statistics, metric computation)."""
         return list(self._labels)
+
+
+def _rank(scores: np.ndarray, k: int) -> list[np.ndarray]:
+    """Positions of the ``k`` best scores in each row of ``scores``.
+
+    One ``argpartition`` picks every row's head, then a stable sort
+    orders each head, so ties keep the order ``argpartition`` left them
+    in.
+    """
+    heads = np.argpartition(-scores, k - 1, axis=1)[:, :k]
+    return [head[np.argsort(-row[head], kind="stable")]
+            for row, head in zip(scores, heads)]

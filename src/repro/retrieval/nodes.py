@@ -58,7 +58,11 @@ from repro.retrieval.index import FeatureIndex
 from repro.retrieval.lists import RetrievalEntry
 from repro.retrieval.placement import ConsistentHashRing
 from repro.retrieval.similarity import SimilarityFn, negative_l2
-from repro.retrieval.snapshot import GallerySnapshot, filter_entries
+from repro.retrieval.snapshot import (
+    GallerySnapshot,
+    entry_candidates,
+    filter_entries,
+)
 
 #: Per-node search latencies are sub-millisecond at test scale.
 NODE_LATENCY_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0)
@@ -815,14 +819,15 @@ class ShardedGallery:
         index = snap.indexes[position]
         watermark = snap.watermarks[position]
         fetch = int(k) + snap.node_dead[position]
-        if hasattr(index, "search_limited"):
-            raw = index.search_limited(query, fetch, watermark)
+        if hasattr(index, "rank_limited"):
+            candidates = index.candidates(
+                *index.rank_limited(query, fetch, watermark))
         else:
             # Compressed tiers cannot cap scored rows, so over-fetch by
             # the rows appended past the watermark and filter instead.
             fetch += max(0, len(index) - watermark)
-            raw = index.search(query, fetch)
-        return filter_entries(raw, snap, int(k), RetrievalEntry)
+            candidates = entry_candidates(index.search(query, fetch))
+        return filter_entries(candidates, snap, int(k))
 
     def _snapshot_search_batch(self, snap: GallerySnapshot, position: int,
                                queries: np.ndarray, k: int
@@ -832,13 +837,16 @@ class ShardedGallery:
         index = snap.indexes[position]
         watermark = snap.watermarks[position]
         fetch = int(k) + snap.node_dead[position]
-        if hasattr(index, "search_batch_limited"):
-            raw_lists = index.search_batch_limited(queries, fetch, watermark)
+        if hasattr(index, "rank_batch_limited"):
+            ranked = zip(*index.rank_batch_limited(queries, fetch, watermark))
+            candidate_lists = [index.candidates(scores, order)
+                               for scores, order in ranked]
         else:
             fetch += max(0, len(index) - watermark)
-            raw_lists = index.search_batch(queries, fetch)
-        return [filter_entries(raw, snap, int(k), RetrievalEntry)
-                for raw in raw_lists]
+            candidate_lists = [entry_candidates(raw) for raw in
+                               index.search_batch(queries, fetch)]
+        return [filter_entries(candidates, snap, int(k))
+                for candidates in candidate_lists]
 
     # -------------------------------------------------------------- #
     # Scatter

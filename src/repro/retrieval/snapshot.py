@@ -9,6 +9,8 @@ time), rows deleted later stay visible because their tombstone version
 in ``dead_at`` exceeds the snapshot's, and rows deleted at or before
 the snapshot are filtered out (the per-node ``node_dead`` counts size
 the over-fetch that guarantees ``k`` live results still surface).
+:func:`filter_entries` walks a shard's ranked candidates and builds
+result entries only for the rows it keeps.
 
 The dictionaries are *shared* with the gallery, not copied: mutations
 only ever add keys with versions greater than any existing snapshot,
@@ -19,7 +21,9 @@ snapshots O(nodes) to build and free to hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
+
+from repro.retrieval.lists import RetrievalEntry
 
 
 @dataclass(frozen=True)
@@ -62,25 +66,29 @@ class GallerySnapshot:
         return self.alias.get(rowid, rowid)
 
 
-def filter_entries(entries: Sequence, snapshot: GallerySnapshot, k: int,
-                   entry_type) -> list:
-    """Keep the first ``k`` entries visible at ``snapshot``.
+def filter_entries(candidates: Iterable, snapshot: GallerySnapshot,
+                   k: int) -> list[RetrievalEntry]:
+    """Entries for the first ``k`` candidates visible at ``snapshot``.
 
-    Re-embedded generations are mapped back to their public video id so
-    callers never observe internal rowids.
+    ``candidates`` yields ``(rowid, label, score)`` triples best first
+    and may be lazy: it is consumed only until ``k`` rows are kept, and
+    an entry is built only for a kept row.  Re-embedded generations are
+    mapped back to their public video id so callers never observe
+    internal rowids.
     """
-    out: list = []
-    for entry in entries:
-        rowid = entry.video_id
+    out: list[RetrievalEntry] = []
+    for rowid, label, score in candidates:
         if not snapshot.visible(rowid):
             continue
-        public = snapshot.alias.get(rowid)
-        if public is not None:
-            entry = entry_type(public, entry.label, entry.score)
-        out.append(entry)
+        out.append(RetrievalEntry(snapshot.public_id(rowid), label, score))
         if len(out) >= k:
             break
     return out
 
 
-__all__ = ["GallerySnapshot", "filter_entries"]
+def entry_candidates(entries: Iterable) -> Iterator[tuple]:
+    """Built entries as :func:`filter_entries` candidates."""
+    return ((entry.video_id, entry.label, entry.score) for entry in entries)
+
+
+__all__ = ["GallerySnapshot", "entry_candidates", "filter_entries"]

@@ -1,5 +1,7 @@
 """Batched search equivalence: index, gallery, service, and engine layers."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,62 @@ class TestFeatureIndexBatch:
         index.add("v0", 0, rng.normal(size=4))
         with pytest.raises(ValueError, match="feature dim mismatch"):
             index.add_batch(["a"], [1], rng.normal(size=(1, 5)))
+
+
+class TestFeatureMatrixGrowth:
+    def test_single_row_adds_match_a_fresh_stack(self, rng):
+        index = FeatureIndex()
+        features = rng.normal(size=(37, 5))
+        for i, feature in enumerate(features):
+            index.add(f"v{i}", i, feature)
+            if i % 3 == 0:  # readers extend the buffer part-way through
+                index._feature_matrix()
+        for rows in range(1, len(features) + 1):
+            matrix = index._feature_matrix(rows)
+            assert matrix.tobytes() == \
+                np.stack(index._features[:rows]).tobytes()
+
+    def test_buffer_reallocates_logarithmically(self, rng):
+        index = FeatureIndex()
+        buffers = []
+        adds = 200
+        for i in range(adds):
+            index.add(f"v{i}", i, rng.normal(size=4))
+            index._feature_matrix()
+            buffer = index._matrix[0]
+            if not buffers or buffer is not buffers[-1]:
+                buffers.append(buffer)
+        assert len(buffers) <= int(np.ceil(np.log2(adds))) + 1
+
+    def test_readers_extend_while_a_writer_appends(self, rng):
+        from repro.qa.concurrency import BarrierHarness
+
+        index = FeatureIndex()
+        index.add_batch([f"seed{i}" for i in range(4)], [0] * 4,
+                        rng.normal(size=(4, 6)))
+        appended = rng.normal(size=(120, 6))
+        query = rng.normal(size=6)
+
+        def worker(thread_id, step, _rng):
+            if thread_id == 0:
+                index.add(f"v{step}", step, appended[step])
+                return None
+            rows = len(index)
+            scores = negative_l2(query, index._feature_matrix(rows))
+            expected = negative_l2(query, np.stack(index._features[:rows]))
+            return rows, scores.tobytes() == expected.tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-extension
+        try:
+            outcome = BarrierHarness(threads=3, steps=120, seed=9).run_free(
+                worker)
+        finally:
+            sys.setswitchinterval(interval)
+        reads = [value for (thread_id, _), value in outcome.results.items()
+                 if thread_id]
+        assert len(reads) == 240
+        assert all(same for _, same in reads)
 
 
 class TestShardedGalleryBatch:

@@ -120,6 +120,34 @@ class TestSnapshotConsistency:
         check_snapshot_consistency(gallery, snap, hits, k=4)
 
 
+    def test_snapshot_batch_builds_entries_only_for_returned_rows(
+            self, monkeypatch):
+        # Each shard carries >= 64 tombstones, so a snapshot read
+        # over-fetches k + 64 rows per node; only the rows it returns
+        # may become RetrievalEntry objects.
+        from repro.retrieval import RetrievalEntry
+
+        gallery, ids, features, rng = build_gallery(rows=320, nodes=2)
+        gallery.enable_churn()
+        for video_id in ids[:160]:
+            gallery.delete(video_id)
+        snap = gallery.snapshot()
+        assert min(snap.node_dead) >= 64
+        built = []
+        shipped_init = RetrievalEntry.__init__
+
+        def counting_init(entry, *args, **kwargs):
+            built.append(1)
+            shipped_init(entry, *args, **kwargs)
+
+        monkeypatch.setattr(RetrievalEntry, "__init__", counting_init)
+        queries = features[:6] + 0.01 * rng.normal(size=(6, 8))
+        results = gallery.search_batch(queries, k=8, snapshot=snap)
+        monkeypatch.undo()
+        assert all(len(result) == 8 for result in results)
+        assert len(built) <= 8 * gallery.num_nodes * len(queries)
+
+
 class TestCompaction:
     def test_compact_drops_tombstones_without_changing_results(self):
         gallery, ids, features, _ = build_gallery(rows=20)
